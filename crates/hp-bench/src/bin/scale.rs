@@ -89,45 +89,13 @@ fn cell_config(opts: &HarnessOpts, queues: u32) -> ExperimentConfig {
     cfg
 }
 
-/// Everything deterministic the run computes: seeded simulation state,
-/// no wall-clock terms. Byte-identical across `--par-workers` counts.
+/// The canonical run digest, then the kernel profile's attributed
+/// cycles per event type: seeded simulation state, no wall-clock terms.
+/// Byte-identical across `--par-workers` counts.
 fn digest(r: &ExperimentResult) -> Vec<u64> {
-    let mut d = vec![
-        r.throughput_tps.to_bits(),
-        r.completions,
-        r.drops,
-        r.end.since_start().count(),
-        r.mean_latency_us().to_bits(),
-        r.latency_percentile_us(50.0).to_bits(),
-        r.latency_percentile_us(99.0).to_bits(),
-    ];
-    for c in &r.per_core {
-        d.extend([
-            c.useful_instructions,
-            c.active_cycles,
-            c.completions,
-            c.qwait_timeouts,
-            c.recoveries,
-        ]);
-    }
+    let mut d = r.digest();
     if let Some(p) = r.kernel_profile() {
-        d.push(p.total_events());
-        for (_, count, cycles) in p.rows() {
-            d.extend([count, cycles]);
-        }
-    }
-    if let Some(dev) = r.device_stats() {
-        d.extend([
-            dev.monitoring_banks,
-            dev.monitoring.inserts,
-            dev.monitoring.conflicts,
-            dev.monitoring.relocations,
-            dev.monitoring.snoop_hits,
-            dev.monitoring.snoop_misses,
-            dev.monitoring.snoop_filtered,
-            dev.monitoring.spill_resizes,
-            dev.spurious_wakeups,
-        ]);
+        d.extend(p.rows().into_iter().map(|(_, _, cycles)| cycles));
     }
     d
 }

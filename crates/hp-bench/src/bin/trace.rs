@@ -93,21 +93,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
         cfg.target_completions = opts.completions(30_000);
         cfg
     };
-    let digest = |r: &hp_sdp::ExperimentResult| -> Vec<u64> {
-        let mut d = vec![
-            r.throughput_tps.to_bits(),
-            r.completions,
-            r.drops,
-            r.end.since_start().count(),
-            r.mean_latency_us().to_bits(),
-            r.latency_percentile_us(99.0).to_bits(),
-        ];
-        for c in &r.per_core {
-            d.extend([c.useful_instructions, c.completions, c.halt_c1_cycles]);
-        }
-        d
-    };
-
     println!(
         "par-bench: packet-encap / fb / 64 queues / hyperplane, 4 lanes, host_cpus={}",
         hp_par::available_parallelism()
@@ -124,7 +109,7 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
     let mut digests: Vec<Vec<u64>> = Vec::new();
     for workers in [1usize, 2, 4] {
         let r = runner::run(mk().with_par_workers(workers));
-        digests.push(digest(&r));
+        digests.push(r.digest());
         rows.push(Row {
             workers,
             wall: r.wall_secs(),

@@ -49,11 +49,12 @@
 //!
 //! Run control (warmup, stop, watchdog, `max_cycles`) is evaluated at
 //! synchronization-window boundaries in *every* engine — serial included —
-//! so a serial run is exactly a one-lane fabric.
+//! and every engine tears down through `Engine::into_lane_output` and
+//! the fabric merge, so a serial run is exactly a one-lane fabric.
 
 use crate::config::{ConfigError, ExperimentConfig, Load, Notifier, RngStreamMode};
 use crate::metrics::{WindowObservation, WindowSample, WindowedMetrics};
-use crate::result::{DeviceStats, ExperimentResult, FaultReport};
+use crate::result::{DeviceStats, ExperimentResult};
 use crate::telemetry::{CoreTelemetry, HaltState, HaltTracker};
 use hp_core::qwait::{HyperPlaneDevice, RearmAction};
 use hp_mem::seq::SeqMemo;
@@ -797,16 +798,9 @@ impl Engine {
             } else {
                 Attributor::disabled()
             },
-            metrics: cfg.metrics_window_cycles.map(|w| {
-                let m = WindowedMetrics::new(w, clock, cfg.dp_cores);
-                // A lane keeps each window's raw latency histogram so the
-                // fabric merge can recompute exact percentiles.
-                if lane.is_some() {
-                    m.retain_hists()
-                } else {
-                    m
-                }
-            }),
+            metrics: cfg
+                .metrics_window_cycles
+                .map(|w| WindowedMetrics::new(w, clock, cfg.dp_cores)),
             metrics_next: cfg.metrics_window_cycles.unwrap_or(u64::MAX),
             profile: KernelProfile::new(EV_LABELS),
             warmup_span: None,
@@ -926,10 +920,11 @@ impl Engine {
     /// Runs the experiment to completion and returns the results.
     ///
     /// Delegates to the parallel fabric ([`crate::par_engine`]): with
-    /// `par_workers <= 1` (the default) this is the serial engine pumping
-    /// windows on the calling thread; with more workers the fabric
-    /// rebuilds one lane per sharing group and merges. Same seed, same
-    /// config ⇒ digest-identical results for any worker count.
+    /// `par_workers <= 1` (the default) this engine is the fabric's one
+    /// lane, pumped on the calling thread; with more workers the fabric
+    /// rebuilds one lane per sharing group. Both tear down through the
+    /// same merge. Same seed, same config ⇒ digest-identical results for
+    /// any worker count.
     pub fn run(self) -> ExperimentResult {
         crate::par_engine::run(self)
     }
@@ -1175,115 +1170,6 @@ impl Engine {
             }
         }
         Some(d)
-    }
-
-    /// Assembles the single-lane result. `end` is the timestamp of the
-    /// last *processed* event (`ev.now()` may already sit at a carried
-    /// future event); `stalls` is the fabric controller's watchdog verdict.
-    pub(crate) fn finish(
-        mut self,
-        wall_secs: f64,
-        end: SimTime,
-        stalls: crate::par_engine::StallSummary,
-    ) -> ExperimentResult {
-        // Close out the observability plane: full windows first, then the
-        // final partial one; close whichever phase span is still open.
-        if self.metrics.is_some() {
-            self.close_metrics_windows(end.since_start().count(), false);
-            let obs = self.window_observation(end.since_start().count(), false);
-            self.metrics
-                .as_mut()
-                .unwrap()
-                .close_final(end.since_start().count(), &obs);
-        }
-        if let Some(span) = self.measure_span.take() {
-            self.tracer.end_span(end, span);
-        }
-        if let Some(span) = self.warmup_span.take() {
-            self.tracer.end_span(end, span);
-        }
-        // Credit outstanding halt episodes.
-        for c in 0..self.cfg.dp_cores {
-            self.trackers[c].resume(end, &mut self.telem[c]);
-        }
-        let clock = self.cfg.machine.clock;
-        let window = match self.measure_start {
-            Some(start) => end.saturating_since(start),
-            None => end.since_start(),
-        };
-        let throughput = clock.rate_per_sec(self.completions_measured, window);
-        // Aggregate DP-core memory behaviour (queue-scalability evidence).
-        let mut mem_stats = hp_mem::system::CoreMemStats::default();
-        for c in 0..self.cfg.dp_cores {
-            let s = self.mem.core_stats(CoreId(c));
-            mem_stats.l1_hits += s.l1_hits;
-            mem_stats.llc_hits += s.llc_hits;
-            mem_stats.remote_hits += s.remote_hits;
-            mem_stats.dram_fetches += s.dram_fetches;
-        }
-        let fault_report = (self.cfg.faults.is_active()
-            || self.cfg.chaos.is_active()
-            || self.cfg.qwait_timeout_cycles.is_some()
-            || self.cfg.watchdog_period_cycles.is_some())
-        .then(|| FaultReport {
-            injected: self.faults.counters(),
-            qwait_timeouts: self.telem.iter().map(|t| t.qwait_timeouts).sum(),
-            recoveries: self.telem.iter().map(|t| t.recoveries).sum(),
-            recovery_latency_cycles: self.recovery_latency.clone(),
-            eviction_recoveries: self.eviction_recoveries,
-            doorbell_recoveries: self.doorbell_recoveries,
-            eviction_recovery_latency: self.eviction_recovery_latency.clone(),
-            doorbell_recovery_latency: self.doorbell_recovery_latency.clone(),
-            churn_reallocations: self.churn_reallocations,
-            first_stall: stalls.first_stall,
-            stall_events: stalls.stall_events,
-            aborted_on_stall: stalls.aborted,
-            queue_drops: self.queues.iter().map(|q| q.dropped()).sum(),
-        });
-        // Conservation reconciliation: the engine's own residual backlog
-        // (the incrementally maintained counter).
-        let residual_backlog: u64 = self.backlog;
-        let device = self.device_stats();
-        let mut result = ExperimentResult::new(
-            &self.cfg,
-            throughput,
-            self.latency,
-            self.telem,
-            self.completions,
-            self.drops,
-            self.saturation_rate,
-            end,
-        )
-        .with_per_queue(self.qrows.into_iter().map(|r| r.latency).collect())
-        .with_notify_latency(self.notify_latency)
-        .with_mem_stats(mem_stats)
-        .with_fastpath(self.mem.fastpath_stats())
-        .with_profile(self.profile, wall_secs)
-        .with_replicated_chain_events(self.replicated_chain_events)
-        .with_lane_generated(vec![self.generated_arrivals]);
-        if let Some(d) = device {
-            result = result.with_device(d);
-        }
-        if self.tracer.is_enabled() {
-            result = result.with_trace(
-                self.tracer.records(),
-                self.tracer.dropped(),
-                self.tracer.emitted(),
-            );
-        }
-        if self.attrib.is_enabled() {
-            result = result.with_attrib(self.attrib.finalize());
-        }
-        if let Some(m) = self.metrics {
-            result = result.with_windows(m.into_samples());
-        }
-        if let Some(report) = fault_report {
-            result = result.with_faults(report);
-        }
-        if self.audit.is_enabled() {
-            result = result.with_audit(self.audit.finalize(residual_backlog));
-        }
-        result
     }
 
     // ---------------------------------------------------------------- //

@@ -34,9 +34,10 @@
 //! ...), and the merge below folds lane outputs in lane order, so a
 //! same-seed run is digest-identical to the serial engine for any worker
 //! count. The serial engine *is* this fabric with a single lane owning
-//! every group: both paths share `Engine::pump_window` and
-//! `FabricCtrl`, so serial-vs-parallel equivalence is structural, not
-//! coincidental.
+//! every group: one run loop (`Fabric::pump` over `Engine::pump_window`
+//! and `FabricCtrl`) and one teardown (`Engine::into_lane_output`, then
+//! `merge`) serve every run, so serial-vs-parallel equivalence is
+//! structural, not coincidental.
 //!
 //! In keyed mode every simulated event is group-local, so the merged
 //! kernel profile's per-event counts and the window `event_queue_depth`
@@ -123,9 +124,9 @@ struct Decision {
 }
 
 /// Fabric-wide run control, evaluated at window boundaries from summed
-/// lane reports. The serial engine uses the identical controller with a
-/// single lane, so warmup/stop/watchdog semantics cannot drift between
-/// the two paths. Relative to the pre-fabric serial engine, stop and
+/// lane reports. A serial run is the same fabric with a single lane, so
+/// warmup/stop/watchdog semantics cannot drift between worker counts.
+/// Relative to the pre-fabric serial engine, stop and
 /// warmup trigger at the first boundary *after* the threshold crossing —
 /// an overshoot of at most one window.
 struct FabricCtrl {
@@ -273,152 +274,148 @@ impl FabricCtrl {
     }
 }
 
-/// Runs `engine` to completion, routing between the single-lane path and
-/// the multi-lane fabric. Called by [`Engine::run`].
+/// Runs `engine` to completion. Called by [`Engine::run`].
+///
+/// Every run is a fabric run: the lane list is `[engine]` itself when the
+/// fabric cannot engage (one worker asked for, nothing to partition, or
+/// too few producer cores for a group-disjoint arrival striping), and one
+/// lane per sharing group otherwise. One worker pumps its lanes on the
+/// calling thread; more workers pump theirs on scoped threads. Either way
+/// [`merge`] assembles the result.
 pub(crate) fn run(engine: Engine) -> ExperimentResult {
     let wall_start = Instant::now();
-    let cfg = engine.cfg();
-    let groups = cfg.groups();
-    let producers = cfg.machine.cores - cfg.dp_cores;
-    // Single-lane fallback: one worker asked for, nothing to partition,
-    // or too few producer cores for a group-disjoint arrival striping.
-    if cfg.par_workers <= 1 || groups == 1 || producers < groups {
-        run_single(engine, wall_start)
-    } else {
-        let workers = cfg.par_workers.min(groups);
-        run_fabric(engine, wall_start, workers)
-    }
-}
-
-/// The one-lane fabric: this engine owns every group; run control still
-/// lives with [`FabricCtrl`] at window boundaries.
-fn run_single(mut engine: Engine, wall_start: Instant) -> ExperimentResult {
-    let mut ctrl = FabricCtrl::new(&engine);
-    engine.seed_events();
-    let mut boundary = ctrl.first_boundary();
-    loop {
-        engine.pump_window(boundary);
-        let report = engine.lane_report();
-        let d = ctrl.decide(boundary, std::slice::from_ref(&report));
-        for &at in &d.stall_notes {
-            engine.note_stall(at);
-        }
-        if let Some(at) = d.begin_measure {
-            engine.begin_measure(at);
-        }
-        if d.stop {
-            break;
-        }
-        boundary = d.next_boundary;
-    }
-    let mut end = SimTime(engine.lane_report().last_processed);
-    // An abort ends the run at the watchdog tick that observed the stall;
-    // a lookahead boundary clamped to that tick processes strictly before
-    // it, so the last event can sit just short of the detection instant.
-    if ctrl.stalls.aborted {
-        if let Some(at) = ctrl.stalls.first_stall {
-            end = end.max(at);
-        }
-    }
-    let rounds = ctrl.rounds;
-    engine
-        .finish(wall_start.elapsed().as_secs_f64(), end, ctrl.stalls)
-        .with_sync_rounds(rounds)
-}
-
-/// The multi-lane fabric: one lane per sharing group, pumped by
-/// `workers` threads in lockstep windows, merged in lane order.
-fn run_fabric(engine: Engine, wall_start: Instant, workers: usize) -> ExperimentResult {
     let cfg = engine.cfg().clone();
     let groups = cfg.groups();
+    let producers = cfg.machine.cores - cfg.dp_cores;
     let ctrl = FabricCtrl::new(&engine);
-    let first_boundary = ctrl.first_boundary();
-    let ctrl = Mutex::new(ctrl);
-    drop(engine);
+    let lanes: Vec<Engine> = if cfg.par_workers <= 1 || groups == 1 || producers < groups {
+        vec![engine]
+    } else {
+        drop(engine);
+        (0..groups)
+            .map(|g| {
+                Engine::try_new_lane(cfg.clone(), Some(g))
+                    .expect("lane config is the already-validated fabric config")
+            })
+            .collect()
+    };
+    let n_lanes = lanes.len();
+    let workers = cfg.par_workers.clamp(1, n_lanes);
 
     let mut per_worker: Vec<Vec<(usize, Engine)>> = (0..workers).map(|_| Vec::new()).collect();
-    for g in 0..groups {
-        let mut lane = Engine::try_new_lane(cfg.clone(), Some(g))
-            .expect("lane config is the already-validated fabric config");
+    for (g, mut lane) in lanes.into_iter().enumerate() {
         lane.seed_events();
         per_worker[g % workers].push((g, lane));
     }
+    let fabric = Fabric {
+        first_boundary: ctrl.first_boundary(),
+        reports: Mutex::new(vec![None; n_lanes]),
+        decision: Mutex::new(Decision::default()),
+        ctrl: Mutex::new(ctrl),
+        rendezvous: hp_par::Rendezvous::new(workers),
+    };
 
-    let reports: Mutex<Vec<Option<LaneReport>>> = Mutex::new(vec![None; groups]);
-    let decision: Mutex<Decision> = Mutex::new(Decision::default());
-    let rendezvous = hp_par::Rendezvous::new(workers);
-    let done: Mutex<Vec<Option<Engine>>> = Mutex::new((0..groups).map(|_| None).collect());
+    let mut lanes: Vec<(usize, Engine)> = if workers == 1 {
+        let mut mine = per_worker.pop().expect("one worker");
+        fabric.pump(&mut mine);
+        mine
+    } else {
+        std::thread::scope(|scope| {
+            let fabric = &fabric;
+            let handles: Vec<_> = per_worker
+                .into_iter()
+                .map(|mut mine| {
+                    scope.spawn(move || {
+                        fabric.pump(&mut mine);
+                        mine
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("fabric worker panicked"))
+                .collect()
+        })
+    };
+    lanes.sort_by_key(|&(g, _)| g);
 
-    std::thread::scope(|scope| {
-        for mut my_lanes in per_worker {
-            let (reports, decision, ctrl, rendezvous, done) =
-                (&reports, &decision, &ctrl, &rendezvous, &done);
-            scope.spawn(move || {
-                let mut boundary = first_boundary;
-                loop {
-                    for (_, lane) in my_lanes.iter_mut() {
-                        lane.pump_window(boundary);
-                    }
-                    {
-                        let mut slots = reports.lock().unwrap();
-                        for (g, lane) in my_lanes.iter() {
-                            slots[*g] = Some(lane.lane_report());
-                        }
-                    }
-                    if rendezvous.wait() {
-                        // Leader folds the reports into this window's
-                        // verdict; followers are parked at the second
-                        // barrier until it lands.
-                        let collected: Vec<LaneReport> = reports
-                            .lock()
-                            .unwrap()
-                            .iter()
-                            .map(|r| r.expect("every lane reported"))
-                            .collect();
-                        let d = ctrl.lock().unwrap().decide(boundary, &collected);
-                        *decision.lock().unwrap() = d;
-                    }
-                    rendezvous.wait();
-                    let (stop, next_boundary) = {
-                        let d = decision.lock().unwrap();
-                        for (g, lane) in my_lanes.iter_mut() {
-                            if *g == 0 {
-                                for &at in &d.stall_notes {
-                                    lane.note_stall(at);
-                                }
-                            }
-                            if let Some(at) = d.begin_measure {
-                                lane.begin_measure(at);
-                            }
-                        }
-                        (d.stop, d.next_boundary)
-                    };
-                    if stop {
-                        break;
-                    }
-                    boundary = next_boundary;
-                }
-                let mut slots = done.lock().unwrap();
-                for (g, lane) in my_lanes {
-                    slots[g] = Some(lane);
-                }
-            });
-        }
-    });
-
-    let lanes: Vec<Engine> = done
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|l| l.expect("every lane returned"))
-        .collect();
-    let ctrl = ctrl.into_inner().unwrap();
+    let ctrl = fabric.ctrl.into_inner().expect(POISONED);
+    let lanes = lanes.into_iter().map(|(_, lane)| lane).collect();
     merge(&cfg, lanes, wall_start.elapsed().as_secs_f64(), ctrl.stalls)
         .with_sync_rounds(ctrl.rounds)
 }
 
-/// Folds lane outputs into one whole-machine [`ExperimentResult`],
-/// mirroring the single-lane `Engine::finish` field for field: exact
+/// A fabric lock is poisoned only when a worker panicked while holding
+/// it; scoped-thread joins then re-raise that panic.
+const POISONED: &str = "a fabric worker panicked";
+
+/// State the fabric's workers share: the controller and the per-window
+/// report/decision slots, exchanged over a two-barrier rendezvous.
+struct Fabric {
+    first_boundary: u64,
+    /// Window-boundary reports, indexed by lane.
+    reports: Mutex<Vec<Option<LaneReport>>>,
+    /// The leader's verdict for the window just pumped.
+    decision: Mutex<Decision>,
+    ctrl: Mutex<FabricCtrl>,
+    rendezvous: hp_par::Rendezvous,
+}
+
+impl Fabric {
+    /// One worker's loop: pump `my_lanes` (worker `w` owns lanes `w`,
+    /// `w + W`, ...) window by window until the controller stops the run.
+    fn pump(&self, my_lanes: &mut [(usize, Engine)]) {
+        let mut boundary = self.first_boundary;
+        loop {
+            for (_, lane) in my_lanes.iter_mut() {
+                lane.pump_window(boundary);
+            }
+            {
+                let mut slots = self.reports.lock().expect(POISONED);
+                for (g, lane) in my_lanes.iter() {
+                    slots[*g] = Some(lane.lane_report());
+                }
+            }
+            if self.rendezvous.wait() {
+                // Leader folds the reports into this window's verdict;
+                // followers are parked at the second barrier until it
+                // lands.
+                let collected: Vec<LaneReport> = self
+                    .reports
+                    .lock()
+                    .expect(POISONED)
+                    .iter()
+                    .map(|r| r.expect("every lane reported"))
+                    .collect();
+                let d = self
+                    .ctrl
+                    .lock()
+                    .expect(POISONED)
+                    .decide(boundary, &collected);
+                *self.decision.lock().expect(POISONED) = d;
+            }
+            self.rendezvous.wait();
+            let d = self.decision.lock().expect(POISONED);
+            for (g, lane) in my_lanes.iter_mut() {
+                if *g == 0 {
+                    for &at in &d.stall_notes {
+                        lane.note_stall(at);
+                    }
+                }
+                if let Some(at) = d.begin_measure {
+                    lane.begin_measure(at);
+                }
+            }
+            if d.stop {
+                return;
+            }
+            boundary = d.next_boundary;
+        }
+    }
+}
+
+/// Folds lane outputs into one whole-machine [`ExperimentResult`] — the
+/// only place a result is assembled, for one lane or many: exact
 /// histogram merges for latency distributions, take-from-owner for
 /// lane-disjoint state (per-queue stats, per-core telemetry), sums for
 /// machine-wide counters.

@@ -1,7 +1,7 @@
 //! Experiment results: throughput, latency distribution, telemetry, and
 //! derived power / co-runner metrics.
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, RngStreamMode};
 use crate::metrics::WindowSample;
 use crate::power::PowerModel;
 use crate::telemetry::{CoreTelemetry, SmtCoRunner};
@@ -155,6 +155,9 @@ pub struct ExperimentResult {
     sync_rounds: u64,
     replicated_chain_events: u64,
     lane_generated_arrivals: Vec<u64>,
+    /// Whether stimulus used keyed RNG streams, so the kernel profile's
+    /// event counts are worker-count-invariant (see [`Self::digest`]).
+    keyed_stimulus: bool,
     workload_label: &'static str,
     notifier_label: &'static str,
     queues: u32,
@@ -200,6 +203,7 @@ impl ExperimentResult {
             sync_rounds: 0,
             replicated_chain_events: 0,
             lane_generated_arrivals: Vec::new(),
+            keyed_stimulus: cfg.rng_stream_mode == RngStreamMode::Keyed,
             workload_label: cfg.workload.name(),
             notifier_label: cfg.notifier.label(),
             queues: cfg.queues,
@@ -437,59 +441,119 @@ impl ExperimentResult {
     /// events/s. Returns `None` when no profile was collected.
     pub fn profile_json(&self) -> Option<String> {
         let p = self.profile.as_ref()?;
-        let mut out = String::from("{\"kernels\":[");
-        for (i, (label, count, cycles)) in p.rows().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{label}\",\"events\":{count},\"sim_cycles\":{cycles}}}"
-            ));
+        let mut w = JsonWriter::with_capacity(1024);
+        w.begin_object();
+        w.key("kernels");
+        w.begin_array();
+        for (label, count, cycles) in p.rows() {
+            w.begin_object();
+            w.field_str("label", label);
+            w.field_u64("events", count);
+            w.field_u64("sim_cycles", cycles);
+            w.end_object();
         }
+        w.end_array();
+        w.field_u64("total_events", p.total_events());
+        w.field_f64("wall_secs", self.wall_secs);
+        w.field_f64("events_per_sec", self.events_per_sec_wall());
+        w.field_u64("sync_rounds", self.sync_rounds);
+        w.field_u64("replicated_chain_events", self.replicated_chain_events);
+        w.key("lane_generated_arrivals");
+        w.begin_array();
+        for &n in &self.lane_generated_arrivals {
+            w.u64(n);
+        }
+        w.end_array();
         let f = &self.fastpath;
+        w.key("fast_path");
+        w.begin_object();
+        w.field_u64("mru_hits", f.mru_hits);
+        w.field_u64("stable_hits", f.stable_hits);
+        w.field_u64("seq_replays", f.seq_replays);
+        w.field_u64("seq_replayed_accesses", f.seq_replayed_accesses);
+        w.field_u64("s_state_peeks", f.s_state_peeks);
+        w.field_u64("stable_reloads", f.stable_reloads);
+        w.field_u64("shared_joins", f.shared_joins);
+        w.field_u64("dir_hint_hits", f.dir_hint_hits);
+        w.field_u64("seq_replay_attempts", f.seq_replay_attempts);
         let memo_hit_rate = if f.seq_replay_attempts > 0 {
             f.seq_replays as f64 / f.seq_replay_attempts as f64
         } else {
             0.0
         };
-        out.push_str(&format!(
-            "],\"total_events\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.0},\
-             \"sync_rounds\":{},\"replicated_chain_events\":{},\
-             \"lane_generated_arrivals\":[{}],\
-             \"fast_path\":{{\"mru_hits\":{},\"stable_hits\":{},\
-             \"seq_replays\":{},\"seq_replayed_accesses\":{},\
-             \"s_state_peeks\":{},\"stable_reloads\":{},\
-             \"shared_joins\":{},\"dir_hint_hits\":{},\
-             \"seq_replay_attempts\":{},\"memo_hit_rate\":{:.4}}}",
-            p.total_events(),
-            self.wall_secs,
-            self.events_per_sec_wall(),
-            self.sync_rounds,
-            self.replicated_chain_events,
-            self.lane_generated_arrivals
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            f.mru_hits,
-            f.stable_hits,
-            f.seq_replays,
-            f.seq_replayed_accesses,
-            f.s_state_peeks,
-            f.stable_reloads,
-            f.shared_joins,
-            f.dir_hint_hits,
-            f.seq_replay_attempts,
-            memo_hit_rate,
-        ));
+        // Four decimals, as the artifact has always carried it.
+        let memo_hit_rate: f64 = format!("{memo_hit_rate:.4}")
+            .parse()
+            .expect("formatted f64");
+        w.field_f64("memo_hit_rate", memo_hit_rate);
+        w.end_object();
         if let Some(d) = &self.device {
             let m = &d.monitoring;
-            out.push_str(&format!(
-                ",\"device\":{{\"monitoring_banks\":{},\"inserts\":{},\
-                 \"conflicts\":{},\"relocations\":{},\"snoop_hits\":{},\
-                 \"snoop_misses\":{},\"snoop_filtered\":{},\
-                 \"spill_resizes\":{},\"spurious_wakeups\":{}}}",
-                d.monitoring_banks,
+            w.key("device");
+            w.begin_object();
+            w.field_u64("monitoring_banks", d.monitoring_banks);
+            w.field_u64("inserts", m.inserts);
+            w.field_u64("conflicts", m.conflicts);
+            w.field_u64("relocations", m.relocations);
+            w.field_u64("snoop_hits", m.snoop_hits);
+            w.field_u64("snoop_misses", m.snoop_misses);
+            w.field_u64("snoop_filtered", m.snoop_filtered);
+            w.field_u64("spill_resizes", m.spill_resizes);
+            w.field_u64("spurious_wakeups", d.spurious_wakeups);
+            w.end_object();
+        }
+        w.end_object();
+        Some(w.finish())
+    }
+
+    /// The canonical run digest: every deterministic, worker-count-
+    /// invariant quantity the simulation computes, as bit-exact words.
+    /// Two same-seed runs of one config agree on it for any `par_workers`
+    /// and with any observer attached.
+    ///
+    /// It covers the headline figures (throughput, offered load, counts,
+    /// end time, latency mean/p50/p99, notification mean), all per-core
+    /// telemetry, the kernel profile's total and per-type event counts,
+    /// the device counters, and each queue's latency count and mean.
+    /// Left out: the profile's attributed cycles and the fast-path
+    /// counters (each lane accounts its own clock and caches), and — under
+    /// sequential RNG streams, where every lane replays the foreign
+    /// stimulus chains — the profile's event counts.
+    pub fn digest(&self) -> Vec<u64> {
+        let mut d = vec![
+            self.throughput_tps.to_bits(),
+            self.offered_tps.to_bits(),
+            self.completions,
+            self.drops,
+            self.end.since_start().count(),
+            self.mean_latency_us().to_bits(),
+            self.latency_percentile_us(50.0).to_bits(),
+            self.latency_percentile_us(99.0).to_bits(),
+            self.mean_notification_us().to_bits(),
+        ];
+        for c in &self.per_core {
+            d.extend([
+                c.useful_instructions,
+                c.spin_instructions,
+                c.background_instructions,
+                c.active_cycles,
+                c.halt_c0_cycles,
+                c.halt_c1_cycles,
+                c.completions,
+                c.empty_polls,
+                c.spurious,
+                c.qwait_timeouts,
+                c.recoveries,
+            ]);
+        }
+        if let Some(p) = self.profile.as_ref().filter(|_| self.keyed_stimulus) {
+            d.push(p.total_events());
+            d.extend(p.rows().into_iter().map(|(_, count, _)| count));
+        }
+        if let Some(dev) = &self.device {
+            let m = &dev.monitoring;
+            d.extend([
+                dev.monitoring_banks,
                 m.inserts,
                 m.conflicts,
                 m.relocations,
@@ -497,11 +561,13 @@ impl ExperimentResult {
                 m.snoop_misses,
                 m.snoop_filtered,
                 m.spill_resizes,
-                d.spurious_wakeups,
-            ));
+                dev.spurious_wakeups,
+            ]);
         }
-        out.push('}');
-        Some(out)
+        for q in &self.per_queue {
+            d.extend([q.count(), q.mean().to_bits()]);
+        }
+        d
     }
 
     /// The latency-attribution report as a JSON artifact (schema

@@ -13,39 +13,6 @@ use hyperplane::sim::faults::FaultPlan;
 
 const MODES: [RngStreamMode; 2] = [RngStreamMode::Keyed, RngStreamMode::Sequential];
 
-/// A digest of everything the simulation itself computes (mirrors
-/// `tests/observability.rs`): headline metrics plus the full per-core
-/// telemetry, bit-exact.
-fn digest(r: &ExperimentResult) -> Vec<u64> {
-    let mut d = vec![
-        r.throughput_tps.to_bits(),
-        r.offered_tps.to_bits(),
-        r.completions,
-        r.drops,
-        r.end.since_start().count(),
-        r.mean_latency_us().to_bits(),
-        r.latency_percentile_us(50.0).to_bits(),
-        r.latency_percentile_us(99.0).to_bits(),
-        r.mean_notification_us().to_bits(),
-    ];
-    for c in &r.per_core {
-        d.extend([
-            c.useful_instructions,
-            c.spin_instructions,
-            c.background_instructions,
-            c.active_cycles,
-            c.halt_c0_cycles,
-            c.halt_c1_cycles,
-            c.completions,
-            c.empty_polls,
-            c.spurious,
-            c.qwait_timeouts,
-            c.recoveries,
-        ]);
-    }
-    d
-}
-
 /// Four DP cores in single-core clusters: four sharing groups, so the
 /// multi-lane fabric actually engages (one group would fall back to the
 /// single-lane path and the test would be vacuous).
@@ -82,16 +49,37 @@ fn observed(cfg: ExperimentConfig) -> ExperimentConfig {
         .with_metrics_window(500_000)
 }
 
+/// Serial and 2- and 4-worker runs of one config agree on the canonical
+/// digest, the fault and audit reports, and — under keyed streams, where
+/// no lane replays foreign events into its `event_queue_depth` samples —
+/// the metrics JSONL byte for byte.
 fn assert_worker_invariant(label: &str, mk: impl Fn() -> ExperimentConfig) {
+    let keyed = mk().rng_stream_mode == RngStreamMode::Keyed;
     let serial = runner::run(mk().with_par_workers(1));
-    let d0 = digest(&serial);
     for workers in [2, 4] {
         let par = runner::run(mk().with_par_workers(workers));
         assert_eq!(
-            d0,
-            digest(&par),
+            serial.digest(),
+            par.digest(),
             "{label}: digest diverged at {workers} workers"
         );
+        assert_eq!(
+            format!("{:?}", serial.fault_report()),
+            format!("{:?}", par.fault_report()),
+            "{label}: fault report diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.audit_report(),
+            par.audit_report(),
+            "{label}: audit report diverged at {workers} workers"
+        );
+        if keyed {
+            assert_eq!(
+                serial.metrics_jsonl(),
+                par.metrics_jsonl(),
+                "{label}: metrics JSONL diverged at {workers} workers"
+            );
+        }
     }
 }
 
@@ -151,13 +139,9 @@ fn parallel_digest_matches_serial_under_chaos() {
 /// counts that exceed the lane count, or don't divide it, change nothing.
 #[test]
 fn worker_count_beyond_lane_count_is_inert() {
-    let d0 = digest(&runner::run(
-        base(Notifier::hyperplane()).with_par_workers(1),
-    ));
+    let d0 = runner::run(base(Notifier::hyperplane()).with_par_workers(1)).digest();
     for workers in [3, 5, 64] {
-        let d = digest(&runner::run(
-            base(Notifier::hyperplane()).with_par_workers(workers),
-        ));
+        let d = runner::run(base(Notifier::hyperplane()).with_par_workers(workers)).digest();
         assert_eq!(d0, d, "digest diverged at {workers} workers");
     }
 }
@@ -182,9 +166,9 @@ fn sync_window_choice_is_worker_invariant() {
                     .with_sync_window_mode(window)
                     .with_rng_stream_mode(mode)
             };
-            let serial = digest(&runner::run(mk().with_par_workers(1)));
+            let serial = runner::run(mk().with_par_workers(1)).digest();
             for workers in [2, 4] {
-                let par = digest(&runner::run(mk().with_par_workers(workers)));
+                let par = runner::run(mk().with_par_workers(workers)).digest();
                 assert_eq!(
                     serial, par,
                     "{window:?}/{mode:?}: serial vs {workers}-worker diverged"
