@@ -310,8 +310,9 @@ fn main() {
         }
         t.print(&opts);
         println!(
-            "\nkernel: {} events in {:.3} s wall ({:.0} events/s)",
+            "\nkernel: {} events ({} core steps inline) in {:.3} s wall ({:.0} events/s)",
             profile.total_events(),
+            profile.inlined(),
             r.wall_secs(),
             r.events_per_sec_wall()
         );

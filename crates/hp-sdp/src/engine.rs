@@ -973,6 +973,19 @@ impl Engine {
     /// Run control (stop, warmup, watchdog, `max_cycles`) lives with the
     /// fabric controller between windows, never inside the pump, so a
     /// lane's event processing is a pure function of its own event stream.
+    ///
+    /// A `CoreStep` runs its successor steps inline while each is already
+    /// the next event ([`Engine::run_core_steps`]): a step due at `t` is
+    /// handled in place of a schedule-and-pop when `t` is strictly before
+    /// the *horizon* — the earliest of the wheel's next event, `boundary`,
+    /// the next metrics-window close and the next chaos swap — and no
+    /// same-instant `pending` run is outstanding. The popped event would
+    /// have been exactly that step (ties go to older events, hence the
+    /// strict `<`), and below the horizon every per-event action here is
+    /// either a no-op (carry, window close, chaos swap) or repeated
+    /// (`last_processed`, the profile tally), so every simulated value,
+    /// kernel-profile counts and attributed cycles included, is the same
+    /// as with the wheel round trip.
     pub(crate) fn pump_window(&mut self, boundary: u64) {
         loop {
             // Take the next event: the carried boundary-crosser first,
@@ -1020,7 +1033,7 @@ impl Engine {
             }
             match ev {
                 Ev::Arrival => self.on_arrival(now),
-                Ev::CoreStep(c) => self.on_core_step(now, c),
+                Ev::CoreStep(c) => self.run_core_steps(now, c, boundary),
                 Ev::CoreWake(c) => self.on_core_wake(now, c),
                 Ev::Reconsider { core, group, qid } => {
                     let _cost = self.reconsider(core, group, QueueId(qid), now);
@@ -1046,6 +1059,38 @@ impl Engine {
                 Ev::GroupArrival(g) => self.on_group_arrival(now, g as usize),
                 Ev::GroupChurn { group, tick } => self.on_group_churn(now, group as usize, tick),
             }
+        }
+    }
+
+    /// Runs core `c`'s step at `now`, then each successor step inline for
+    /// as long as it would be the very next event (the horizon rule in
+    /// [`Engine::pump_window`]); the first successor that is not goes on
+    /// the wheel. The horizon only moves when something is scheduled, so
+    /// it is recomputed only when `scheduled_total` has changed.
+    fn run_core_steps(&mut self, mut now: SimTime, c: usize, boundary: u64) {
+        let mut horizon = 0;
+        let mut horizon_stamp = None;
+        while let Some(t) = self.on_core_step(now, c) {
+            let at = t.since_start().count();
+            let stamp = self.ev.scheduled_total();
+            if horizon_stamp != Some(stamp) {
+                horizon_stamp = Some(stamp);
+                horizon = self
+                    .ev
+                    .peek_time()
+                    .map_or(u64::MAX, |p| p.since_start().count())
+                    .min(boundary)
+                    .min(self.metrics_next)
+                    .min(self.chaos_next);
+            }
+            if at >= horizon || !self.pending.is_empty() {
+                self.ev.schedule_at(t, Ev::CoreStep(c));
+                return;
+            }
+            self.ev.advance_to(t);
+            self.last_processed = at;
+            self.profile.tally_inline(Ev::CoreStep(c).profile_idx(), t);
+            now = t;
         }
     }
 
@@ -1437,14 +1482,20 @@ impl Engine {
         // resets its backoff: the notification path is working.
         self.qwait_epoch[c] += 1;
         self.qwait_backoff[c] = self.cfg.qwait_timeout_cycles.unwrap_or(0);
-        self.on_core_step(now, c);
+        if let Some(t) = self.on_core_step(now, c) {
+            self.ev.schedule_at(t, Ev::CoreStep(c));
+        }
     }
 
     // ---------------------------------------------------------------- //
     // Data-plane cores
     // ---------------------------------------------------------------- //
 
-    fn on_core_step(&mut self, now: SimTime, c: usize) {
+    /// Runs one step of core `c` and returns when its next step is due
+    /// (`None`: the core halted or quiesced). Steps never schedule their
+    /// own successor; [`Engine::run_core_steps`] decides between running
+    /// it inline and putting it on the wheel.
+    fn on_core_step(&mut self, now: SimTime, c: usize) -> Option<SimTime> {
         // Fault: the core straggles (SMI / frequency dip / noisy
         // neighbor) — it burns the stall actively, then retries the step.
         let step = self.straggler_step[c];
@@ -1454,8 +1505,7 @@ impl Engine {
             .straggler_stall(((c as u64) << 32).wrapping_add(step))
         {
             self.telem[c].active_cycles += stall.count();
-            self.ev.schedule_at(now + stall, Ev::CoreStep(c));
-            return;
+            return Some(now + stall);
         }
         match self.cfg.notifier {
             Notifier::Spinning => self.spin_step(now, c),
@@ -1466,7 +1516,7 @@ impl Engine {
 
     /// One spin-poll iteration: interrogate the queue under the pointer;
     /// process it if non-empty, else advance.
-    fn spin_step(&mut self, now: SimTime, c: usize) {
+    fn spin_step(&mut self, now: SimTime, c: usize) -> Option<SimTime> {
         let group = self.core_group[c];
         let core = self.dp_core(c);
         let qlist_len = self.queues_of_group[group].len();
@@ -1582,7 +1632,7 @@ impl Engine {
                     // work here, so the core quiesces instead of spinning
                     // to the end of time. Identical in serial and lane
                     // runs (the stream map is build-deterministic).
-                    return;
+                    return None;
                 }
                 let t_next = SimTime(target);
                 let resume_at = now + Cycles(poll_cost);
@@ -1593,12 +1643,10 @@ impl Engine {
                     self.telem[c].active_cycles += dt;
                     self.telem[c].empty_polls += skipped;
                     self.core_ptr[c] = (ptr + 1 + skipped as usize) % qlist_len;
-                    self.ev.schedule_at(t_next, Ev::CoreStep(c));
-                    return;
+                    return Some(t_next);
                 }
             }
-            self.ev.schedule_after(Cycles(poll_cost), Ev::CoreStep(c));
-            return;
+            return Some(now + Cycles(poll_cost));
         }
 
         // Found work.
@@ -1616,14 +1664,14 @@ impl Engine {
         self.deq_scratch = items;
         self.core_ptr[c] = if ptr + 1 == qlist_len { 0 } else { ptr + 1 };
         self.telem[c].active_cycles += total;
-        self.ev.schedule_after(Cycles(total), Ev::CoreStep(c));
+        Some(now + Cycles(total))
     }
 
     /// One interrupt-baseline iteration: take the next pending IRQ, drain
     /// its queue NAPI-style (bounded budget), re-arm, and sleep when no
     /// IRQs are pending. Each IRQ delivery already paid the kernel entry
     /// cost at wake-up; per-queue servicing pays a softirq dispatch cost.
-    fn irq_step(&mut self, now: SimTime, c: usize) {
+    fn irq_step(&mut self, now: SimTime, c: usize) -> Option<SimTime> {
         let group = self.core_group[c];
         let Some(q) = self.irq_pending[group].pop_front() else {
             // Idle: block in the kernel until the next interrupt.
@@ -1631,7 +1679,7 @@ impl Engine {
             self.halted_by_group[group].push(c);
             self.note(now, TraceKind::Halt { core: c as u32 });
             self.trackers[c].halt(now, HaltState::C0Halt);
-            return;
+            return None;
         };
         let q = QueueId(q);
         let qi = q.0 as usize;
@@ -1656,12 +1704,12 @@ impl Engine {
             self.irq_pending[group].push_back(q.0);
         }
         self.telem[c].active_cycles += total;
-        self.ev.schedule_after(Cycles(total), Ev::CoreStep(c));
+        Some(now + Cycles(total))
     }
 
     /// One HyperPlane iteration: QWAIT → VERIFY → dequeue → RECONSIDER →
     /// process (Algorithm 1's data-plane loop).
-    fn hp_step(&mut self, now: SimTime, c: usize) {
+    fn hp_step(&mut self, now: SimTime, c: usize) -> Option<SimTime> {
         let group = self.core_group[c];
         let core = self.dp_core(c);
         let (power_optimized, software_ready_set) = match self.cfg.notifier {
@@ -1715,8 +1763,7 @@ impl Engine {
                 self.telem[c].background_instructions +=
                     (BACKGROUND_CHUNK_CYCLES as f64 * BACKGROUND_IPC) as u64;
                 self.telem[c].active_cycles += total;
-                self.ev.schedule_after(Cycles(total), Ev::CoreStep(c));
-                return;
+                return Some(now + Cycles(total));
             }
             // Halt until an activation wakes us.
             self.telem[c].active_cycles += total;
@@ -1730,7 +1777,7 @@ impl Engine {
             self.note(now + Cycles(total), TraceKind::Halt { core: c as u32 });
             self.trackers[c].halt(now + Cycles(total), state);
             self.arm_qwait_timeout(now + Cycles(total), c);
-            return;
+            return None;
         };
 
         // QWAIT-VERIFY: read the doorbell count.
@@ -1749,8 +1796,7 @@ impl Engine {
         if !ready {
             self.telem[c].spurious += 1;
             self.telem[c].active_cycles += total;
-            self.ev.schedule_after(Cycles(total), Ev::CoreStep(c));
-            return;
+            return Some(now + Cycles(total));
         }
 
         let batch = self.cfg.batch.min(self.qrows[qi].depth as usize);
@@ -1786,7 +1832,7 @@ impl Engine {
         }
 
         self.telem[c].active_cycles += total;
-        self.ev.schedule_after(Cycles(total), Ev::CoreStep(c));
+        Some(now + Cycles(total))
     }
 
     /// `QWAIT-RECONSIDER` with its coherence action and sibling wake-up;

@@ -437,8 +437,11 @@ impl ExperimentResult {
 
     /// The sim-kernel profile plus the fast-path counters as a JSON
     /// object (the `trace --profile` payload): per-event-type counts and
-    /// attributed simulated cycles, total events, wall seconds, and
-    /// events/s. Returns `None` when no profile was collected.
+    /// attributed simulated cycles, total events, the core steps among
+    /// them run inline without a wheel round trip (`inline_steps`; it
+    /// depends on the lane partition and sync windows, so it stays out of
+    /// [`Self::digest`]), wall seconds, and events/s. Returns `None` when
+    /// no profile was collected.
     pub fn profile_json(&self) -> Option<String> {
         let p = self.profile.as_ref()?;
         let mut w = JsonWriter::with_capacity(1024);
@@ -454,6 +457,7 @@ impl ExperimentResult {
         }
         w.end_array();
         w.field_u64("total_events", p.total_events());
+        w.field_u64("inline_steps", p.inlined());
         w.field_f64("wall_secs", self.wall_secs);
         w.field_f64("events_per_sec", self.events_per_sec_wall());
         w.field_u64("sync_rounds", self.sync_rounds);

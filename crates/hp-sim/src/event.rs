@@ -31,6 +31,19 @@
 //! property tests in `tests/properties_kernels.rs` — only the constant
 //! factors changed.
 //!
+//! ## Skipping the round trip: `advance_to`
+//!
+//! A driver that is about to schedule an event at `t` and knows it would
+//! pop straight back — `t` is strictly before [`EventQueue::peek_time`]
+//! and before every boundary the driver itself acts on — may instead
+//! call [`EventQueue::advance_to`]`(t)` and handle the event in place.
+//! The clock and the window move exactly as that pop would move them, so
+//! every pending event keeps its place in the pop order. The bound is
+//! strict because an event already pending *at* `t` is older and wins the
+//! FIFO tie. The engine uses this for a core's successor step (DESIGN.md
+//! §13, "Inline successor steps"); `tests/properties_kernels.rs` pins
+//! `advance_to` against the reference heap.
+//!
 //! # Examples
 //!
 //! ```
@@ -85,7 +98,8 @@ impl<E> Ord for Scheduled<E> {
 /// A deterministic time-ordered event queue.
 ///
 /// The queue owns the simulation clock: [`EventQueue::now`] is the timestamp
-/// of the most recently popped event (initially [`SimTime::ZERO`]).
+/// of the most recently popped event or [`EventQueue::advance_to`] target
+/// (initially [`SimTime::ZERO`]).
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// First event of each one-cycle bucket of the window
@@ -108,7 +122,8 @@ pub struct EventQueue<E> {
     far: BinaryHeap<Reverse<Scheduled<E>>>,
     /// Window base: every wheel event's time is in
     /// `[base, base + WHEEL_SLOTS)`, every far event's at or beyond the
-    /// end. Equals `now` between operations; advances only in `pop`.
+    /// end. Equals `now` between operations; advances only in the pops
+    /// and in `advance_to`.
     base: u64,
     seq: u64,
     now: SimTime,
@@ -137,7 +152,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The current simulated instant (time of the last popped event).
+    /// The current simulated instant (time of the last popped event, or
+    /// the last `advance_to` target).
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
@@ -299,6 +315,33 @@ impl<E> EventQueue<E> {
         self.near_len -= 1 + rest;
         self.occupied[slot / 64] &= !(1 << (slot % 64));
         Some((self.now, first))
+    }
+
+    /// Advances the clock to `t` without popping anything: the caller
+    /// handles, in place, an event it would otherwise have scheduled at
+    /// `t` and popped straight back (see the module docs). The window
+    /// moves exactly as a `pop` at `t` would move it, so every pending
+    /// event keeps its place in the pop order.
+    ///
+    /// Precondition: `now <= t` and `t` is strictly before
+    /// [`Self::peek_time`] (an event already pending at `t` is older and
+    /// must fire first). Checked in debug builds.
+    #[inline]
+    pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(
+            t >= self.now,
+            "advancing into the past: {t} < now {}",
+            self.now
+        );
+        debug_assert!(
+            self.peek_time().is_none_or(|p| t < p),
+            "advancing onto or past a pending event"
+        );
+        self.now = t;
+        if t.0 > self.base {
+            self.base = t.0;
+            self.migrate_due();
+        }
     }
 
     /// Timestamp of the earliest pending event without removing it.

@@ -35,6 +35,7 @@ pub struct KernelProfile {
     advanced: Vec<u64>,
     last_now: SimTime,
     total: u64,
+    inlined: u64,
 }
 
 impl KernelProfile {
@@ -47,6 +48,7 @@ impl KernelProfile {
             advanced: vec![0; labels.len()],
             last_now: SimTime::ZERO,
             total: 0,
+            inlined: 0,
         }
     }
 
@@ -59,6 +61,16 @@ impl KernelProfile {
         self.advanced[idx] += now.saturating_since(self.last_now).count();
         self.last_now = now;
         self.total += 1;
+    }
+
+    /// Records an event of type `idx` at `now` that the driver handled in
+    /// place, without scheduling it and popping it straight back. It is
+    /// tallied exactly as [`KernelProfile::tally`] would tally the pop, and
+    /// also counted in [`KernelProfile::inlined`].
+    #[inline]
+    pub fn tally_inline(&mut self, idx: usize, now: SimTime) {
+        self.tally(idx, now);
+        self.inlined += 1;
     }
 
     /// The event-type labels.
@@ -81,6 +93,12 @@ impl KernelProfile {
         self.total
     }
 
+    /// Events among [`KernelProfile::total_events`] that were handled
+    /// inline rather than popped from the event queue.
+    pub fn inlined(&self) -> u64 {
+        self.inlined
+    }
+
     /// Folds another profile over the same label set into this one.
     ///
     /// Used by the parallel engine to merge per-lane profiles: counts,
@@ -100,6 +118,7 @@ impl KernelProfile {
             *mine += theirs;
         }
         self.total += other.total;
+        self.inlined += other.inlined;
         self.last_now = self.last_now.max(other.last_now);
     }
 
@@ -132,14 +151,29 @@ mod tests {
     }
 
     #[test]
+    fn inline_tally_counts_like_a_pop() {
+        let mut popped = KernelProfile::new(&["a", "b"]);
+        let mut inline = KernelProfile::new(&["a", "b"]);
+        for p in [&mut popped, &mut inline] {
+            p.tally(0, SimTime(10));
+        }
+        popped.tally(1, SimTime(40));
+        inline.tally_inline(1, SimTime(40));
+        assert_eq!(popped.rows(), inline.rows());
+        assert_eq!(popped.total_events(), inline.total_events());
+        assert_eq!((popped.inlined(), inline.inlined()), (0, 1));
+    }
+
+    #[test]
     fn merge_sums_counts_and_cycles() {
         static LABELS: &[&str] = &["a", "b"];
         let mut p = KernelProfile::new(LABELS);
         p.tally(0, SimTime(10));
         let mut q = KernelProfile::new(LABELS);
         q.tally(1, SimTime(25));
-        q.tally(1, SimTime(30));
+        q.tally_inline(1, SimTime(30));
         p.merge(&q);
+        assert_eq!(p.inlined(), 1);
         assert_eq!(p.count(0), 1);
         assert_eq!(p.count(1), 2);
         assert_eq!(p.cycles(1), 30);

@@ -291,6 +291,106 @@ fn pop_batch_matches_reference_heap() {
     }
 }
 
+/// `advance_to` moves the clock without disturbing the pop order: under
+/// random interleavings of schedules, pops, batch pops and clock advances
+/// (each strictly before the next pending event, often thousands of
+/// cycles past the 4096-slot wheel window so far-heap events migrate on
+/// the advance), every pop matches a reference heap ordered by
+/// `(time, insertion sequence)`.
+#[test]
+fn advance_to_matches_reference_heap() {
+    let mut rng = SmallRng::seed_from_u64(0xBEEF_0013);
+    let mut advances_past_window = 0u32;
+    for _case in 0..80 {
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut next_id = 0u32;
+        let mut run: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
+        let n_ops = rng.random_range(1..400usize);
+        for _ in 0..n_ops {
+            match rng.random_range(0..4u8) {
+                0 => {
+                    let off = match rng.random_range(0..4u8) {
+                        0 => rng.random_range(0..8u64),
+                        1 => rng.random_range(0..4096),
+                        2 => rng.random_range(4096..1 << 16),
+                        _ => rng.random_range(0..1 << 20),
+                    };
+                    q.schedule_at(SimTime(now + off), next_id);
+                    model.push(Reverse((now + off, seq, next_id)));
+                    seq += 1;
+                    next_id += 1;
+                }
+                1 => {
+                    if let Some((t, id)) = q.pop() {
+                        let Reverse((mt, _, mid)) = model.pop().expect("model tracks q");
+                        assert_eq!((t.0, id), (mt, mid));
+                        now = mt;
+                    }
+                }
+                2 => {
+                    if let Some((t, head)) = q.pop_batch(&mut run) {
+                        let Reverse((mt, _, mid)) = model.pop().expect("model tracks q");
+                        assert_eq!((t.0, head), (mt, mid), "batch head diverged");
+                        now = mt;
+                        for id in run.drain(..) {
+                            let Reverse((bt, _, bid)) = model.pop().expect("run in model");
+                            assert_eq!((t.0, id), (bt, bid), "batch tail diverged");
+                        }
+                    }
+                }
+                _ => {
+                    // Any instant in `[now, next pending)`: the very next
+                    // cycle, just short of the next event, or anywhere in
+                    // between. An empty queue has no upper limit.
+                    let limit = model
+                        .peek()
+                        .map_or(now + (1 << 20), |Reverse((t, _, _))| *t);
+                    assert_eq!(q.peek_time().map(|t| t.0), model.peek().map(|r| r.0 .0));
+                    if limit == now {
+                        continue; // an event is due now: nothing to advance over
+                    }
+                    let target = match rng.random_range(0..3u8) {
+                        0 => now,
+                        1 => limit - 1,
+                        _ => rng.random_range(now..limit),
+                    };
+                    if target - now >= 4096 {
+                        advances_past_window += 1;
+                    }
+                    q.advance_to(SimTime(target));
+                    assert_eq!(q.now(), SimTime(target));
+                    now = target;
+                }
+            }
+        }
+        while let Some(Reverse((mt, _, mid))) = model.pop() {
+            assert_eq!(q.pop(), Some((SimTime(mt), mid)));
+        }
+        assert!(q.pop().is_none());
+    }
+    assert!(
+        advances_past_window > 50,
+        "only {advances_past_window} advances left the wheel window"
+    );
+}
+
+/// Advancing the clock onto an instant that already has a pending event
+/// would let the caller's in-place event overtake an older one: debug
+/// builds refuse.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "advancing onto or past a pending event")]
+fn calendar_queue_rejects_advance_onto_pending_event() {
+    let mut q = EventQueue::new();
+    q.schedule_at(SimTime(10), 0u32);
+    q.schedule_at(SimTime(7000), 1u32);
+    q.pop();
+    q.advance_to(SimTime(7000));
+}
+
 /// Scheduling behind the queue's notion of "now" is a model bug, not a
 /// recoverable condition: the queue must refuse rather than misorder.
 #[test]
