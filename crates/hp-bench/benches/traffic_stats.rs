@@ -6,13 +6,14 @@ use hp_bench::{criterion_group, criterion_main};
 use hp_core::monitoring::BankedMonitoringSet;
 use hp_mem::types::LineAddr;
 use hp_queues::sim::QueueId;
+use hp_rand::rngs::CounterRng;
 use hp_rand::Rng;
 use hp_sim::rng::RngFactory;
 use hp_sim::stats::Histogram;
 use hp_sim::time::Clock;
 use hp_traffic::alias::AliasTable;
 use hp_traffic::flows::FlowTrafficGenerator;
-use hp_traffic::generator::TrafficGenerator;
+use hp_traffic::generator::KeyedArrivals;
 use hp_traffic::shape::TrafficShape;
 use std::hint::black_box;
 
@@ -20,16 +21,23 @@ fn bench_traffic(c: &mut Criterion) {
     let mut g = c.benchmark_group("traffic");
     let factory = RngFactory::new(1);
 
-    let mut shape_gen = TrafficGenerator::new(
+    let shape_gen = KeyedArrivals::for_partition(
         TrafficShape::ProportionallyConcentrated,
         1000,
         1e6,
         Clock::default(),
-        factory.stream(0),
+        &[0; 1000],
+        0,
+        CounterRng::keyed(1, 1, 0),
     )
-    .expect("valid");
-    g.bench_function("shape_next_arrival", |b| {
-        b.iter(|| black_box(shape_gen.next_arrival()))
+    .expect("valid")
+    .expect("the partition carries traffic");
+    let mut k = 0u64;
+    g.bench_function("shape_keyed_arrival", |b| {
+        b.iter(|| {
+            k += 1;
+            black_box(shape_gen.arrival(k))
+        })
     });
 
     let mut flow_gen =

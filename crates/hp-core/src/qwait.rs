@@ -13,7 +13,7 @@
 //! emptiness check and the re-arm within one call.
 
 use crate::monitoring::{BankAddressing, BankedMonitoringSet, InsertConflict, MonitoringSet};
-use crate::ready_set::{PpaKind, ReadySet, ReadySetStats, ServicePolicy};
+use crate::ready_set::{PpaKind, ReadySet, ServicePolicy};
 use hp_mem::types::{AddrRange, LineAddr};
 use hp_queues::sim::QueueId;
 use hp_sim::time::Cycles;
@@ -338,11 +338,6 @@ impl HyperPlaneDevice {
     /// Spurious wake-ups filtered by `QWAIT-VERIFY`.
     pub fn spurious_wakeups(&self) -> u64 {
         self.spurious_wakeups
-    }
-
-    /// Ready-set statistics.
-    pub fn ready_stats(&self) -> ReadySetStats {
-        self.ready.stats()
     }
 
     /// Monitoring-set statistics.

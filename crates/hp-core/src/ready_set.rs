@@ -229,7 +229,6 @@ pub struct ReadySet {
     /// [`Self::ready_count`] is O(1) at any size.
     live: usize,
     policy: ServicePolicy,
-    ppa: PpaKind,
     /// Next-priority position for round-robin.
     rr_next: usize,
     /// WRR state: QID currently holding priority and its remaining credit.
@@ -239,13 +238,16 @@ pub struct ReadySet {
 }
 
 impl ReadySet {
-    /// Creates a ready set for `n` QIDs.
+    /// Creates a ready set for `n` QIDs. `_ppa` names the arbiter the
+    /// hardware would build; every kind selects identically (its gate
+    /// depth is a cost-model figure, [`PpaKind::gate_levels`]), so the
+    /// behavioural set does not keep it.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero, or if a WRR policy's weight vector length
     /// does not equal `n`.
-    pub fn new(n: usize, policy: ServicePolicy, ppa: PpaKind) -> Self {
+    pub fn new(n: usize, policy: ServicePolicy, _ppa: PpaKind) -> Self {
         assert!(n > 0, "ready set needs at least one QID");
         let mut wrr_credit = 0;
         if let ServicePolicy::WeightedRoundRobin { weights } = &policy {
@@ -274,7 +276,6 @@ impl ReadySet {
             summaries,
             live: 0,
             policy,
-            ppa,
             rr_next: 0,
             wrr_qid: 0,
             wrr_credit,
@@ -290,11 +291,6 @@ impl ReadySet {
     /// Whether the capacity is zero (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The PPA implementation in use.
-    pub fn ppa_kind(&self) -> PpaKind {
-        self.ppa
     }
 
     /// Lifetime statistics.
@@ -661,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_pyramid_tracks_mutation_churn() {
+    fn summary_pyramid_tracks_churning_mutations() {
         use hp_sim::rng::splitmix64;
         // Sizes straddling the word and summary-level boundaries.
         for n in [1usize, 63, 64, 65, 4096, 4097, 300_000] {

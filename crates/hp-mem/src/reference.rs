@@ -43,9 +43,6 @@ struct RefCache {
     sets: Vec<Vec<Way>>,
     set_mask: u64,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl RefCache {
@@ -67,9 +64,6 @@ impl RefCache {
                 .collect(),
             set_mask: sets as u64 - 1,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -89,11 +83,9 @@ impl RefCache {
         for way in &mut self.sets[set] {
             if way.valid && way.tag == tag {
                 way.last_used = tick;
-                self.hits += 1;
                 return Some(way.state);
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -151,7 +143,6 @@ impl RefCache {
             last_used: tick,
             valid: true,
         };
-        self.evictions += 1;
         Insert::Evicted(evicted_line, evicted_state)
     }
 
@@ -165,10 +156,6 @@ impl RefCache {
             }
         }
         None
-    }
-
-    fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
     }
 }
 
@@ -240,16 +227,6 @@ impl RefMemSystem {
     /// Total prefetch fills issued.
     pub fn prefetch_fills(&self) -> u64 {
         self.prefetch_fills
-    }
-
-    /// `(hits, misses, evictions)` of one core's L1 tag array.
-    pub fn l1_counters(&self, core: CoreId) -> (u64, u64, u64) {
-        self.l1s[core.0].counters()
-    }
-
-    /// `(hits, misses, evictions)` of the LLC tag array.
-    pub fn llc_counters(&self) -> (u64, u64, u64) {
-        self.llc.counters()
     }
 
     /// L1 MESI state of `line` in `core`'s cache, if resident.

@@ -313,18 +313,6 @@ pub mod rngs {
         s: [u64; 4],
     }
 
-    impl SmallRng {
-        /// Builds a generator from raw state.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the state is all zero (the one forbidden state).
-        pub fn from_state(s: [u64; 4]) -> Self {
-            assert!(s.iter().any(|&w| w != 0), "xoshiro state must be nonzero");
-            SmallRng { s }
-        }
-    }
-
     impl SeedableRng for SmallRng {
         fn seed_from_u64(seed: u64) -> Self {
             // Expand through SplitMix64 as the xoshiro authors prescribe;

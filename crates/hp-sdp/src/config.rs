@@ -7,6 +7,7 @@ use hp_sim::chaos::{ChaosError, ChaosSchedule};
 use hp_sim::faults::{FaultPlan, FaultPlanError};
 use hp_sim::rng::Distribution;
 use hp_sim::time::Clock;
+use hp_traffic::partition_queues;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
 
@@ -53,6 +54,14 @@ pub enum ConfigError {
     },
     /// `imbalance` outside `[0, 1)`.
     BadImbalance(f64),
+    /// The imbalanced queue partition leaves a sharing group without
+    /// queues (too few queues for the skew across this many groups).
+    EmptyGroup {
+        /// The group left empty.
+        group: usize,
+        /// Requested imbalance.
+        imbalance: f64,
+    },
     /// Flow-structured traffic misconfigured (zero flows, non-positive
     /// Zipf exponent, or more than one sharing group).
     BadFlowTraffic(&'static str),
@@ -113,6 +122,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{queues} queues exceed the {ready_qids}-entry ready set")
             }
             ConfigError::BadImbalance(x) => write!(f, "imbalance {x} outside [0,1)"),
+            ConfigError::EmptyGroup { group, imbalance } => write!(
+                f,
+                "imbalance {imbalance} leaves sharing group {group} without queues"
+            ),
             ConfigError::BadFlowTraffic(why) => write!(f, "flow traffic: {why}"),
             ConfigError::BadFaultPlan(e) => write!(f, "fault plan: {e}"),
             ConfigError::BadChaos(e) => write!(f, "chaos schedule: {e}"),
@@ -257,23 +270,6 @@ pub enum Load {
     RatePerSec(f64),
     /// Drive far past capacity to measure peak throughput.
     Saturation,
-}
-
-/// How the experiment's random draws are organized (DESIGN.md §18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RngStreamMode {
-    /// One shared sequential arrival/service stream. Every parallel lane
-    /// must replay the full chains to stay draw-aligned, burning foreign
-    /// draws (~`groups`× the kernel events of a serial run). Retained for
-    /// A/B comparison against pre-keyed baselines.
-    Sequential,
-    /// Counter-based keyed streams (the default): every draw is a pure
-    /// function of `(seed, stream, item index)`, arrivals and churn
-    /// partition per sharing group, and a lane generates only what it
-    /// owns. Statistically equivalent to `Sequential` (same distributions,
-    /// decorrelated streams), but a different — equally valid — sampled
-    /// instance of the experiment.
-    Keyed,
 }
 
 /// Parallel-engine window policy: how far lanes run between rendezvous.
@@ -445,10 +441,6 @@ pub struct ExperimentConfig {
     /// window schedule is part of the experiment definition, not a tuning
     /// knob that may change results across worker counts.
     pub sync_window: SyncWindow,
-    /// How random draws are organized: keyed counter-based streams (the
-    /// default; arrivals/churn partition across lanes) or one shared
-    /// sequential stream (lanes replay the full chains).
-    pub rng_stream_mode: RngStreamMode,
 }
 
 impl ExperimentConfig {
@@ -502,7 +494,6 @@ impl ExperimentConfig {
             metrics_window_cycles: None,
             par_workers: 1,
             sync_window: SyncWindow::Lookahead,
-            rng_stream_mode: RngStreamMode::Keyed,
         }
     }
 
@@ -607,12 +598,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Builder-style: set the RNG stream organization.
-    pub fn with_rng_stream_mode(mut self, mode: RngStreamMode) -> Self {
-        self.rng_stream_mode = mode;
-        self
-    }
-
     /// Validates cross-field invariants.
     ///
     /// # Errors
@@ -657,6 +642,20 @@ impl ExperimentConfig {
         }
         if !(0.0..1.0).contains(&self.imbalance) {
             return Err(ConfigError::BadImbalance(self.imbalance));
+        }
+        // A balanced deal gives every group a queue (`queues >= groups`);
+        // only a skewed one can starve the last group.
+        if self.imbalance > 0.0 {
+            let mut served = vec![false; self.groups()];
+            for g in self.queue_groups() {
+                served[g] = true;
+            }
+            if let Some(group) = served.iter().position(|&s| !s) {
+                return Err(ConfigError::EmptyGroup {
+                    group,
+                    imbalance: self.imbalance,
+                });
+            }
         }
         if let TrafficSource::Flows { flows, zipf_s } = self.traffic {
             if flows == 0 {
@@ -710,6 +709,21 @@ impl ExperimentConfig {
     /// Number of sharing groups (devices / partitions).
     pub fn groups(&self) -> usize {
         self.dp_cores / self.cluster
+    }
+
+    /// The sharing group serving each queue, indexed by qid: every queue
+    /// in group 0 for a single group, otherwise the (optionally skewed)
+    /// scale-out deal of [`partition_queues`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a config [`Self::validate`] rejects for too few queues or
+    /// an out-of-range imbalance.
+    pub fn queue_groups(&self) -> Vec<usize> {
+        match self.groups() {
+            1 => vec![0; self.queues as usize],
+            groups => partition_queues(self.shape, self.queues, groups, self.imbalance),
+        }
     }
 
     /// Rough single-core capacity estimate, tasks/second (used to pick the
@@ -795,6 +809,24 @@ mod tests {
         let c = ExperimentConfig::new(WorkloadKind::PacketEncap, TrafficShape::FullyBalanced, 1024);
         assert_eq!(c.hp.ready_qids, 1024);
         assert_eq!(c.hp.monitoring_banks, 1);
+    }
+
+    #[test]
+    fn imbalance_that_empties_a_group_is_rejected() {
+        // Regression: this config used to validate, then panic in the
+        // engine's build with "partition left group 3 without queues".
+        let mut c =
+            ExperimentConfig::new(WorkloadKind::PacketEncap, TrafficShape::FullyBalanced, 16)
+                .with_cores(4, 1);
+        c.imbalance = 0.6;
+        let rejected = Err(ConfigError::EmptyGroup {
+            group: 3,
+            imbalance: 0.6,
+        });
+        assert_eq!(c.validate(), rejected);
+        assert_eq!(crate::runner::try_run(c.clone()).map(|_| ()), rejected);
+        c.imbalance = 0.1;
+        c.validate().unwrap();
     }
 
     #[test]

@@ -25,43 +25,37 @@
 //! the skipped polls at the measured average poll cost. This is exact in
 //! distribution: the pointer phase advances by the number of skipped
 //! polls, and only an arrival can add work to a spinning partition. The
-//! target is tracked locally (`next_arrival` in sequential RNG mode,
-//! `group_next_arrival` per sharing group in keyed mode) rather than
-//! peeked from the event queue so a partitioned lane — which does not see
-//! other lanes' events — fast-forwards identically to the serial engine.
+//! target is tracked locally, per sharing group (`group_next_arrival`),
+//! rather than peeked from the event queue so a partitioned lane — which
+//! does not see other lanes' events — fast-forwards identically to the
+//! serial engine.
 //!
 //! ## Lanes
 //!
 //! The engine doubles as one *lane* of the parallel fabric
 //! ([`crate::par_engine`]): built with `Engine::try_new_lane` it owns a
-//! single sharing group and materializes only that group's work. How the
-//! stimulus chains partition depends on `rng_stream_mode` (DESIGN.md §18):
-//!
-//! - **Keyed** (the default): every draw is a pure function of
-//!   `(seed, stream, item index)` through counter-based sub-streams
-//!   ([`hp_rand::rngs::CounterRng`]), so each lane generates *only its own
-//!   groups' arrivals and churn ticks* — no foreign chain is replayed and
-//!   a lane's event count scales with owned load, not total load.
-//! - **Sequential**: every lane replays the full arrival/churn chains for
-//!   identical RNG draws and gates foreign items off; the replayed-and-
-//!   gated events are counted in `replicated_chain_events` (the
-//!   replication tax keyed mode eliminates).
+//! single sharing group and materializes only that group's work. Every
+//! stimulus draw is a pure function of `(seed, stream, item index)`
+//! through counter-based sub-streams ([`crate::stimulus`], DESIGN.md §18),
+//! so each lane generates *only its own groups' arrivals and churn ticks*:
+//! no foreign chain is replayed, and a lane's event count scales with
+//! owned load, not total load.
 //!
 //! Run control (warmup, stop, watchdog, `max_cycles`) is evaluated at
 //! synchronization-window boundaries in *every* engine — serial included —
 //! and every engine tears down through `Engine::into_lane_output` and
 //! the fabric merge, so a serial run is exactly a one-lane fabric.
 
-use crate::config::{ConfigError, ExperimentConfig, Load, Notifier, RngStreamMode};
+use crate::config::{ConfigError, ExperimentConfig, Notifier};
 use crate::metrics::{WindowObservation, WindowSample, WindowedMetrics};
 use crate::result::{DeviceStats, ExperimentResult};
+use crate::stimulus::Stimulus;
 use crate::telemetry::{CoreTelemetry, HaltState, HaltTracker};
 use hp_core::qwait::{HyperPlaneDevice, RearmAction};
 use hp_mem::seq::SeqMemo;
 use hp_mem::system::{LoadHint, MemSystem};
 use hp_mem::types::{AccessKind, Addr, CoreId, LineAddr};
 use hp_queues::sim::{QueueId, QueueLayout, SimQueue, WorkItem};
-use hp_rand::rngs::{CounterRng, SmallRng};
 use hp_sim::attrib::{AttributionReport, Attributor};
 use hp_sim::audit::{AuditReport, Auditor};
 use hp_sim::event::EventQueue;
@@ -71,10 +65,6 @@ use hp_sim::rng::RngFactory;
 use hp_sim::stats::{Histogram, OnlineStats};
 use hp_sim::time::{Cycles, SimTime};
 use hp_sim::trace::{SpanId, TraceKind, TraceRecord, Tracer};
-use hp_traffic::flows::FlowTrafficGenerator;
-use hp_traffic::generator::{KeyedArrivals, TrafficGenerator};
-use hp_traffic::partition_queues;
-use hp_workloads::service::ServiceModel;
 
 /// Instructions retired per poll-loop iteration (read doorbell, compare,
 /// advance index, branch — a tight but real loop body).
@@ -117,14 +107,15 @@ const EV_LABELS: &[&str] = &[
     "reconsider",
     "delayed-snoop",
     "qwait-timeout",
-    "watchdog",
     "churn",
 ];
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Next traffic arrival.
-    Arrival,
+    /// The next item of one sharing group's arrival stream. A lane
+    /// schedules these only for groups it owns, so no foreign chain is
+    /// ever replayed.
+    Arrival(u32),
     /// A data-plane core's next action completes/begins.
     CoreStep(usize),
     /// A halted core resumes after wake latency.
@@ -155,19 +146,12 @@ enum Ev {
         /// Halt-episode epoch the timeout was armed for.
         epoch: u64,
     },
-    /// Chaos-plane doorbell churn tick: the control plane re-homes one
-    /// queue's doorbell through Algorithm 1 while traffic is live.
-    Churn,
-    /// Keyed-mode arrival: the next item of one sharing group's partition
-    /// stream. Replaces [`Ev::Arrival`] under `rng_stream_mode = keyed` —
-    /// a lane schedules these only for groups it owns, so no foreign
-    /// chain is ever replayed.
-    GroupArrival(u32),
-    /// Keyed-mode churn: tick `tick` of the global churn schedule, known
-    /// at schedule time to victimize a queue of `group` (the victim is a
-    /// pure function of the tick index). Replaces [`Ev::Churn`] under
-    /// `rng_stream_mode = keyed`.
-    GroupChurn {
+    /// Chaos-plane doorbell churn: tick `tick` of the global churn
+    /// schedule, known at schedule time to victimize a queue of `group`
+    /// (the victim is a pure function of the tick index). The control
+    /// plane re-homes that queue's doorbell through Algorithm 1 while
+    /// traffic is live.
+    Churn {
         /// Sharing group owning the victim queue.
         group: u32,
         /// Global churn tick index (fires at `(tick + 1) * period`).
@@ -179,59 +163,14 @@ impl Ev {
     /// Index into [`EV_LABELS`] for the kernel profile.
     fn profile_idx(&self) -> usize {
         match self {
-            Ev::Arrival | Ev::GroupArrival(_) => 0,
+            Ev::Arrival(_) => 0,
             Ev::CoreStep(_) => 1,
             Ev::CoreWake(_) => 2,
             Ev::Reconsider { .. } => 3,
             Ev::DelayedSnoop { .. } => 4,
             Ev::QwaitTimeout { .. } => 5,
-            // Index 6 ("watchdog") is retired: the no-progress watchdog is
-            // evaluated at window boundaries, not as an event. The label
-            // stays so profile indices remain stable across artifacts.
-            Ev::Churn | Ev::GroupChurn { .. } => 7,
+            Ev::Churn { .. } => 6,
         }
-    }
-}
-
-/// Arrival stream: shape-weighted or flow-structured.
-#[derive(Debug)]
-enum ArrivalSource {
-    Shape(TrafficGenerator),
-    Flows(FlowTrafficGenerator),
-}
-
-/// Arrivals drawn per buffer refill. Blocks amortize the per-arrival
-/// generator dispatch; the draws themselves are the same calls in the
-/// same order, so every gap/queue pair — and therefore every simulated
-/// timestamp — is bit-identical to unbuffered generation.
-const ARRIVAL_BLOCK: usize = 64;
-
-/// An [`ArrivalSource`] behind a block-refilled prebuffer.
-#[derive(Debug)]
-struct ArrivalStream {
-    src: ArrivalSource,
-    buf: std::collections::VecDeque<(Cycles, QueueId)>,
-}
-
-impl ArrivalStream {
-    fn new(src: ArrivalSource) -> Self {
-        ArrivalStream {
-            src,
-            buf: std::collections::VecDeque::with_capacity(ARRIVAL_BLOCK),
-        }
-    }
-
-    fn next_arrival(&mut self) -> (Cycles, QueueId) {
-        if let Some(a) = self.buf.pop_front() {
-            return a;
-        }
-        match &mut self.src {
-            ArrivalSource::Shape(g) => g.fill_arrivals(&mut self.buf, ARRIVAL_BLOCK),
-            ArrivalSource::Flows(g) => g.fill_arrivals(&mut self.buf, ARRIVAL_BLOCK),
-        }
-        self.buf
-            .pop_front()
-            .expect("block refill produced arrivals")
     }
 }
 
@@ -313,9 +252,8 @@ pub struct Engine {
     queues_of_group: Vec<Vec<QueueId>>,
     /// Sharing groups this engine materializes work for: all of them in a
     /// serial run, exactly one in a parallel lane
-    /// ([`Engine::try_new_lane`]). Non-owned groups still replay the
-    /// arrival/churn draw chains (identical RNG consumption) but touch no
-    /// queue, device, or core state.
+    /// ([`Engine::try_new_lane`]). Non-owned groups draw no stimulus and
+    /// touch no queue, device, or core state.
     owned_groups: Vec<bool>,
     /// Producer core per queue, precomputed so producers partition cleanly
     /// by sharing group: group `g`'s queues stripe over a contiguous,
@@ -333,38 +271,15 @@ pub struct Engine {
     irq_pending: Vec<std::collections::VecDeque<u32>>,
     trackers: Vec<HaltTracker>,
     telem: Vec<CoreTelemetry>,
-    gen: ArrivalStream,
-    service: ServiceModel,
-    service_rng: SmallRng,
-    /// Prebuffered service demands (same block-refill scheme as
-    /// [`ArrivalStream`]; draws are bit-identical to per-item sampling).
-    service_buf: std::collections::VecDeque<Cycles>,
-    /// Whether this run uses keyed (counter-based) stimulus streams: the
-    /// config knob resolved against the traffic source (flow-structured
-    /// traffic is single-group by validation and stays sequential).
-    keyed: bool,
-    /// Keyed mode: per-group partition arrival streams. `None` for
-    /// non-owned groups (never drawn from) and for partitions with zero
-    /// offered mass (no arrival can ever target them).
-    keyed_arrivals: Vec<Option<KeyedArrivals>>,
-    /// Keyed mode: arrivals drawn so far per group — the next arrival
-    /// index `k`, and the per-group half of the item id `g + k * groups`.
+    /// Arrival streams of the owned groups and the per-item service draw.
+    stimulus: Stimulus,
+    /// Arrivals drawn so far per group: the next arrival index `k`.
     group_arrival_count: Vec<u64>,
-    /// Keyed mode: timestamp of each group's next scheduled arrival
-    /// (`u64::MAX` for a group with no stream) — the per-group spinning
-    /// fast-forward target.
+    /// Timestamp of each group's next scheduled arrival (`u64::MAX` for a
+    /// group with no stream): the per-group spinning fast-forward target.
     group_next_arrival: Vec<u64>,
-    /// Keyed mode: counter-based service stream; item `id`'s demand is
-    /// drawn from `service_keyed.split(id)` — a pure function of the id,
-    /// so lanes never share or replay service-stream state.
-    service_keyed: CounterRng,
-    /// Foreign chain events this engine replayed and gated off: the
-    /// sequential-mode replication tax (always zero in keyed mode, where
-    /// foreign chains are skipped instead of replayed).
-    replicated_chain_events: u64,
-    /// Arrivals this engine generated for its *own* groups (foreign
-    /// replayed draws excluded), so lane sums equal the serial count in
-    /// both RNG stream modes.
+    /// Arrivals this engine generated for its own groups, so lane sums
+    /// equal the serial count.
     generated_arrivals: u64,
     ev: EventQueue<Ev>,
     /// Tail of the same-instant event run `pop_batch` drained: the main
@@ -378,9 +293,6 @@ pub struct Engine {
     /// Timestamp of the last event actually processed (the lane-local run
     /// end; `ev.now()` may already sit at a carried future event).
     last_processed: u64,
-    /// Timestamp of the next scheduled traffic arrival (the spinning
-    /// fast-forward target; see the module docs).
-    next_arrival: u64,
     latency: Histogram,
     notify_latency: Histogram,
     /// Per-core average poll cost (feeds the fast-forward skip count;
@@ -395,7 +307,6 @@ pub struct Engine {
     /// an O(N) row sweep — at 1M queues that sweep would dominate every
     /// sync window (DESIGN.md §17).
     backlog: u64,
-    item_seq: u64,
     /// Reusable dequeue buffer: filled by `dequeue_batch`, borrowed by
     /// `process_items`, retained across steps so the hot loop never
     /// allocates.
@@ -435,7 +346,6 @@ pub struct Engine {
     /// completions reach the warmup target — never by a lane-local count,
     /// so every lane starts measuring at the same instant.
     measuring: bool,
-    saturation_rate: f64,
     /// Fault-decision stream (stream 3; inert when the plan is empty).
     faults: FaultInjector,
     /// Per-core step counter keying straggler draws: each core's stall
@@ -543,22 +453,13 @@ impl Engine {
         let layout = QueueLayout::new(cfg.queues, cfg.workload.buffer_lines(), 4);
         let queues: Vec<SimQueue> = (0..cfg.queues).map(|q| SimQueue::new(QueueId(q))).collect();
 
-        // Partition queues into sharing groups.
+        // Partition queues into sharing groups (`validate` ensures none
+        // is left empty).
         let groups = cfg.groups();
-        let group_of_queue: Vec<usize> = if groups == 1 {
-            vec![0; cfg.queues as usize]
-        } else {
-            partition_queues(cfg.shape, cfg.queues, groups, cfg.imbalance)
-        };
+        let group_of_queue = cfg.queue_groups();
         let mut queues_of_group: Vec<Vec<QueueId>> = vec![Vec::new(); groups];
         for (q, &g) in group_of_queue.iter().enumerate() {
             queues_of_group[g].push(QueueId(q as u32));
-        }
-        for (g, qs) in queues_of_group.iter().enumerate() {
-            assert!(
-                !qs.is_empty(),
-                "partition left group {g} without queues (imbalance too extreme)"
-            );
         }
 
         // Per-queue doorbell addresses. Algorithm 1's control plane: on a
@@ -650,60 +551,10 @@ impl Engine {
             })
             .collect();
 
-        let rate = match cfg.load {
-            Load::RatePerSec(r) => r,
-            Load::Saturation => {
-                // Drive well past capacity; drops bound the backlog.
-                cfg.capacity_estimate_per_core() * cfg.dp_cores as f64 * 3.0
-            }
-        };
-        let gen = match cfg.traffic {
-            crate::config::TrafficSource::Shape => ArrivalSource::Shape(
-                TrafficGenerator::new(cfg.shape, cfg.queues, rate, clock, rngs.stream(1))
-                    .expect("validated configuration"),
-            ),
-            crate::config::TrafficSource::Flows { flows, zipf_s } => ArrivalSource::Flows(
-                FlowTrafficGenerator::new(flows, zipf_s, cfg.queues, rate, clock, rngs.stream(1)),
-            ),
-        };
-
-        // Keyed (counter-based) stimulus streams: stream ids mirror the
-        // sequential assignment (1 = traffic, 2 = service, 3 = faults),
-        // with per-group arrival sub-streams split off stream 1 and the
-        // per-item service demand split off stream 2 by item id. Only
-        // *owned* groups get an arrival stream — that is the whole point:
-        // a lane draws nothing for foreign groups.
-        let keyed = cfg.rng_stream_mode == RngStreamMode::Keyed
-            && matches!(cfg.traffic, crate::config::TrafficSource::Shape);
-        let mut keyed_arrivals: Vec<Option<KeyedArrivals>> = Vec::with_capacity(groups);
-        let mut group_next_arrival: Vec<u64> = Vec::with_capacity(groups);
-        if keyed {
-            let base = CounterRng::from_key(rngs.stream_seed(1));
-            for (g, &owned) in owned_groups.iter().enumerate() {
-                let stream = if owned {
-                    KeyedArrivals::for_partition(
-                        cfg.shape,
-                        cfg.queues,
-                        rate,
-                        clock,
-                        &group_of_queue,
-                        g,
-                        base.split(g as u64),
-                    )
-                    .expect("validated configuration")
-                } else {
-                    None
-                };
-                group_next_arrival.push(if stream.is_some() { 0 } else { u64::MAX });
-                keyed_arrivals.push(stream);
-            }
-        } else {
-            keyed_arrivals.resize_with(groups, || None);
-            group_next_arrival.resize(groups, u64::MAX);
-        }
-        let service_keyed = CounterRng::from_key(rngs.stream_seed(2));
-
-        let service = ServiceModel::new(cfg.workload, cfg.service_dist, clock);
+        let stimulus = Stimulus::new(&cfg, &group_of_queue, &owned_groups);
+        let group_next_arrival = (0..groups)
+            .map(|g| if stimulus.has_stream(g) { 0 } else { u64::MAX })
+            .collect();
         let n_queues = cfg.queues as usize;
         let warmup_completions = (cfg.target_completions / 5).max(1);
         // Faults draw from their own stream (3): the same seed produces
@@ -740,22 +591,14 @@ impl Engine {
             irq_pending: vec![std::collections::VecDeque::new(); groups],
             trackers: vec![HaltTracker::new(); cfg.dp_cores],
             telem: vec![CoreTelemetry::default(); cfg.dp_cores],
-            gen: ArrivalStream::new(gen),
-            service,
-            service_rng: rngs.stream(2),
-            service_buf: std::collections::VecDeque::with_capacity(ARRIVAL_BLOCK),
-            keyed,
-            keyed_arrivals,
+            stimulus,
             group_arrival_count: vec![0; groups],
             group_next_arrival,
-            service_keyed,
-            replicated_chain_events: 0,
             generated_arrivals: 0,
             ev: EventQueue::new(),
             pending: std::collections::VecDeque::new(),
             carry: None,
             last_processed: 0,
-            next_arrival: 0,
             latency: Histogram::new(),
             notify_latency: Histogram::new(),
             poll_cost_ewma: vec![20.0; cfg.dp_cores],
@@ -763,7 +606,6 @@ impl Engine {
             completions_measured: 0,
             drops: 0,
             backlog: 0,
-            item_seq: 0,
             deq_scratch: Vec::with_capacity(cfg.batch.max(IRQ_NAPI_BUDGET)),
             poll_memos: vec![SeqMemo::default(); n_queues],
             memo_ready: vec![0; n_queues.div_ceil(64)],
@@ -773,7 +615,6 @@ impl Engine {
             warmup_completions,
             measure_start: None,
             measuring: false,
-            saturation_rate: rate,
             faults,
             straggler_step: vec![0; cfg.dp_cores],
             qwait_epoch: vec![0; cfg.dp_cores],
@@ -929,22 +770,15 @@ impl Engine {
         crate::par_engine::run(self)
     }
 
-    /// Seeds the event queue for a run: the first arrival(s), core steps
-    /// for *owned* cores only, and the chaos churn chain. In keyed mode
-    /// each owned group's partition stream and churn chain is seeded
-    /// independently; in sequential mode one shared arrival/churn chain is
-    /// replayed by every lane. The no-progress watchdog is not an event —
-    /// it is evaluated at window boundaries by the fabric controller.
+    /// Seeds the event queue for a run: each owned group's first arrival
+    /// and churn tick, and core steps for *owned* cores only. The
+    /// no-progress watchdog is not an event — it is evaluated at window
+    /// boundaries by the fabric controller.
     pub(crate) fn seed_events(&mut self) {
-        if self.keyed {
-            for g in 0..self.keyed_arrivals.len() {
-                if self.keyed_arrivals[g].is_some() {
-                    self.ev
-                        .schedule_at(SimTime::ZERO, Ev::GroupArrival(g as u32));
-                }
+        for g in 0..self.queues_of_group.len() {
+            if self.stimulus.has_stream(g) {
+                self.ev.schedule_at(SimTime::ZERO, Ev::Arrival(g as u32));
             }
-        } else {
-            self.ev.schedule_at(SimTime::ZERO, Ev::Arrival);
         }
         for c in 0..self.cfg.dp_cores {
             if self.owned_groups[self.core_group[c]] {
@@ -953,14 +787,10 @@ impl Engine {
         }
         if let Some(churn) = self.cfg.chaos.churn {
             if !self.devices.is_empty() {
-                if self.keyed {
-                    for g in 0..self.queues_of_group.len() {
-                        if self.owned_groups[g] {
-                            self.schedule_next_group_churn(g, 0, churn.period);
-                        }
+                for g in 0..self.queues_of_group.len() {
+                    if self.owned_groups[g] {
+                        self.schedule_next_group_churn(g, 0, churn.period);
                     }
-                } else {
-                    self.ev.schedule_at(SimTime(churn.period), Ev::Churn);
                 }
             }
         }
@@ -1032,7 +862,7 @@ impl Engine {
                 self.chaos_next = self.cfg.chaos.next_boundary(t).unwrap_or(u64::MAX);
             }
             match ev {
-                Ev::Arrival => self.on_arrival(now),
+                Ev::Arrival(g) => self.on_group_arrival(now, g as usize),
                 Ev::CoreStep(c) => self.run_core_steps(now, c, boundary),
                 Ev::CoreWake(c) => self.on_core_wake(now, c),
                 Ev::Reconsider { core, group, qid } => {
@@ -1055,9 +885,7 @@ impl Engine {
                     }
                 }
                 Ev::QwaitTimeout { core, epoch } => self.on_qwait_timeout(now, core, epoch),
-                Ev::Churn => self.on_churn(now),
-                Ev::GroupArrival(g) => self.on_group_arrival(now, g as usize),
-                Ev::GroupChurn { group, tick } => self.on_group_churn(now, group as usize, tick),
+                Ev::Churn { group, tick } => self.on_group_churn(now, group as usize, tick),
             }
         }
     }
@@ -1221,85 +1049,28 @@ impl Engine {
     // Arrivals (emulated I/O producers)
     // ---------------------------------------------------------------- //
 
-    fn on_arrival(&mut self, now: SimTime) {
-        let (gap, q) = self.gen.next_arrival();
-        // `next_arrival` gives the gap to the *next* one; enqueue now.
-        self.ev.schedule_after(gap, Ev::Arrival);
-        // Mirror the next arrival's timestamp for the spinning
-        // fast-forward: it must not peek the event queue (a lane's queue
-        // lacks other lanes' events; the wheel's `peek` would also see
-        // unrelated event types).
-        self.next_arrival = (now + gap).since_start().count();
-
-        let qi = q.0 as usize;
-        // Draw the item's identity and service demand *before* the cap
-        // check: a dropped arrival still burns both. This makes what the
-        // n-th arrival consumes a pure function of n — never of the
-        // backlog at delivery time — so every fault decision can be keyed
-        // by item id and a replicated arrival chain (the parallel engine)
-        // stays draw-identical without knowing whether the owner dropped.
-        let id = self.item_seq;
-        self.item_seq += 1;
-        let service = match self.service_buf.pop_front() {
-            Some(s) => s,
-            None => {
-                self.service.fill_samples(
-                    &mut self.service_rng,
-                    &mut self.service_buf,
-                    ARRIVAL_BLOCK,
-                );
-                self.service_buf
-                    .pop_front()
-                    .expect("block refill produced samples")
-            }
-        };
-        // Replicated-chain ownership gate: every lane ran the identical
-        // draw sequence above (gap, queue, id, service — pure functions of
-        // the arrival index), but only the lane owning this queue's
-        // sharing group materializes the item. Dropping out *before* the
-        // cap check keeps drop accounting with the owner.
-        let g = self.qrows[qi].group as usize;
-        if !self.owned_groups[g] {
-            self.replicated_chain_events += 1;
-            return;
-        }
-        self.deliver_arrival(now, q, id, service);
-    }
-
-    /// Keyed-mode arrival: the `k`-th item of group `g`'s partition
-    /// stream. The gap/queue pair is a pure function of `(seed, g, k)`
-    /// and the service demand a pure function of the item id
-    /// `g + k * groups` (a dense, collision-free renumbering of the
-    /// per-group sequences), so a lane that never sees other groups'
+    /// The `k`-th item of group `g`'s arrival stream. The gap/queue pair
+    /// is a pure function of `(seed, g, k)` and the service demand a pure
+    /// function of the item id, so a lane that never sees other groups'
     /// arrivals still produces bit-identical items for its own.
+    ///
+    /// The item then materializes on its (owned) queue: cap check and
+    /// drop accounting, enqueue, producer stores and doorbell ring,
+    /// interrupt arming, fault injection, and the monitoring-set snoop.
     fn on_group_arrival(&mut self, now: SimTime, g: usize) {
         let k = self.group_arrival_count[g];
         self.group_arrival_count[g] = k + 1;
-        let a = self.keyed_arrivals[g]
-            .as_ref()
-            .expect("scheduled only for groups with a live partition stream")
-            .arrival(k);
-        self.ev.schedule_after(a.gap, Ev::GroupArrival(g as u32));
+        let a = self
+            .stimulus
+            .arrival(g, k)
+            .expect("scheduled only for groups with a live stream");
+        self.ev.schedule_after(a.gap, Ev::Arrival(g as u32));
         self.group_next_arrival[g] = (now + a.gap).since_start().count();
-        let groups = self.queues_of_group.len() as u64;
-        let id = g as u64 + k * groups;
-        let service = {
-            let mut rng = self.service_keyed.split(id);
-            self.service.sample(&mut rng)
-        };
-        self.deliver_arrival(now, a.queue, id, service);
-    }
-
-    /// Materializes one arrival on its (owned) queue: everything
-    /// downstream of the stimulus draws — cap check and drop accounting,
-    /// enqueue, producer stores and doorbell ring, interrupt arming,
-    /// fault injection, and the monitoring-set snoop. Shared verbatim by
-    /// both RNG modes, which differ only in how `(q, id, service)` and
-    /// the next arrival's schedule are derived.
-    fn deliver_arrival(&mut self, now: SimTime, q: QueueId, id: u64, service: Cycles) {
+        let id = self.stimulus.item_id(g, k);
+        let service = self.stimulus.service(id);
+        let q = a.queue;
         let qi = q.0 as usize;
-        let g = self.qrows[qi].group as usize;
-        debug_assert!(self.owned_groups[g]);
+        debug_assert!(self.owned_groups[g] && self.qrows[qi].group as usize == g);
         self.generated_arrivals += 1;
         // The fault plan may narrow the cap to force overflow drops. Read
         // the injector's *current* plan, not the base config, so chaos
@@ -1619,16 +1390,10 @@ impl Engine {
             // Arrival event was inserted earlier and therefore pops first,
             // resetting the streak before this core's step runs.
             if self.empty_streak[c] >= qlist_len {
-                // Keyed mode tracks the fast-forward target per group
-                // (only this group's stream can feed this partition);
-                // sequential mode tracks the one shared chain.
-                let target = if self.keyed {
-                    self.group_next_arrival[group]
-                } else {
-                    self.next_arrival
-                };
+                // Only this group's stream can feed this partition.
+                let target = self.group_next_arrival[group];
                 if target == u64::MAX {
-                    // Keyed zero-mass partition: no arrival can ever add
+                    // Zero-mass partition: no arrival can ever add
                     // work here, so the core quiesces instead of spinning
                     // to the end of time. Identical in serial and lane
                     // runs (the stream map is build-deterministic).
@@ -1984,33 +1749,10 @@ impl Engine {
     /// careful driver therefore finishes the migration by syncing the
     /// queue's backlog into the device (the re-check in Algorithm 1),
     /// so churn alone never strands work.
-    fn on_churn(&mut self, now: SimTime) {
-        let Some(churn) = self.cfg.chaos.churn else {
-            return;
-        };
-        self.ev.schedule_at(now + Cycles(churn.period), Ev::Churn);
-        if self.devices.is_empty() {
-            return;
-        }
-        let qi = self.faults.pick(self.churn_reallocations, self.qrows.len());
-        let g = self.qrows[qi].group as usize;
-        // Replicated-chain ownership gate: every lane picked the identical
-        // victim (the pick is keyed by the churn counter, which here
-        // equals the global tick index), but only the owner re-homes it.
-        // Non-owners advance the counter — the key of the *next* pick —
-        // and touch nothing else.
-        if !self.owned_groups[g] {
-            self.churn_reallocations += 1;
-            self.replicated_chain_events += 1;
-            return;
-        }
-        self.churn_rehome(now, qi);
-        self.churn_reallocations += 1;
-    }
-
-    /// Keyed-mode churn: processes tick `tick` (this group's turn in the
-    /// global schedule — the victim pick is re-derived and asserted) and
-    /// schedules the group's next owned tick.
+    ///
+    /// Processes tick `tick` (this group's turn in the global schedule —
+    /// the victim pick is re-derived and asserted) and schedules the
+    /// group's next owned tick.
     fn on_group_churn(&mut self, now: SimTime, g: usize, tick: u64) {
         let Some(churn) = self.cfg.chaos.churn else {
             return;
@@ -2018,11 +1760,11 @@ impl Engine {
         let qi = self.faults.pick(tick, self.qrows.len());
         debug_assert_eq!(
             self.qrows[qi].group as usize, g,
-            "keyed churn tick scheduled for the wrong group"
+            "churn tick scheduled for the wrong group"
         );
         self.churn_rehome(now, qi);
         // Per-lane the counter counts *owned* re-homings only; the fabric
-        // merge sums lanes, matching the sequential global count.
+        // merge sums lanes into the global count.
         self.churn_reallocations += 1;
         self.schedule_next_group_churn(g, tick + 1, churn.period);
     }
@@ -2045,7 +1787,7 @@ impl Engine {
             if self.qrows[self.faults.pick(j, n)].group as usize == g {
                 self.ev.schedule_at(
                     SimTime(at),
-                    Ev::GroupChurn {
+                    Ev::Churn {
                         group: g as u32,
                         tick: j,
                     },
@@ -2057,8 +1799,8 @@ impl Engine {
     }
 
     /// Re-homes queue `qi`'s doorbell through Algorithm 1 (the body of a
-    /// churn tick, shared by both RNG modes — spare selection is strided
-    /// per group, so it depends only on the group's own churn history).
+    /// churn tick; spare selection is strided per group, so it depends
+    /// only on the group's own churn history).
     fn churn_rehome(&mut self, now: SimTime, qi: usize) {
         let q = QueueId(qi as u32);
         let g = self.qrows[qi].group as usize;
@@ -2348,7 +2090,6 @@ impl Engine {
             eviction_recovery_latency: self.eviction_recovery_latency,
             doorbell_recovery_latency: self.doorbell_recovery_latency,
             churn_reallocations: self.churn_reallocations,
-            replicated_chain_events: self.replicated_chain_events,
             generated_arrivals: self.generated_arrivals,
             queue_drops: self.queues.iter().map(|q| q.dropped()).sum(),
             trace_enabled: self.tracer.is_enabled(),
@@ -2361,7 +2102,7 @@ impl Engine {
             profile: self.profile,
             device,
             measure_start: self.measure_start,
-            saturation_rate: self.saturation_rate,
+            saturation_rate: self.stimulus.rate(),
         }
     }
 }
@@ -2391,7 +2132,6 @@ pub(crate) struct LaneOutput {
     pub(crate) eviction_recovery_latency: Histogram,
     pub(crate) doorbell_recovery_latency: Histogram,
     pub(crate) churn_reallocations: u64,
-    pub(crate) replicated_chain_events: u64,
     pub(crate) generated_arrivals: u64,
     pub(crate) queue_drops: u64,
     pub(crate) trace_enabled: bool,

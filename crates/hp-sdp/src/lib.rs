@@ -45,6 +45,7 @@ pub mod par_engine;
 pub mod power;
 pub mod result;
 pub mod runner;
+pub mod stimulus;
 pub mod telemetry;
 
 pub use config::{ConfigError, ExperimentConfig, Load, MicroarchConfig, Notifier};

@@ -1,7 +1,7 @@
 //! Experiment results: throughput, latency distribution, telemetry, and
 //! derived power / co-runner metrics.
 
-use crate::config::{ExperimentConfig, RngStreamMode};
+use crate::config::ExperimentConfig;
 use crate::metrics::WindowSample;
 use crate::power::PowerModel;
 use crate::telemetry::{CoreTelemetry, SmtCoRunner};
@@ -74,17 +74,6 @@ impl FaultReport {
             ),
         ]
     }
-
-    /// Whether every class's worst recovery latency fits under `bound`
-    /// cycles (vacuously true for classes that never recovered).
-    pub fn recovery_within(&self, bound: u64) -> bool {
-        [
-            &self.eviction_recovery_latency,
-            &self.doorbell_recovery_latency,
-        ]
-        .iter()
-        .all(|h| h.percentile(100.0).is_none_or(|max| max <= bound))
-    }
 }
 
 /// Device-plane counters aggregated over the run's HyperPlane devices
@@ -153,11 +142,7 @@ pub struct ExperimentResult {
     device: Option<DeviceStats>,
     wall_secs: f64,
     sync_rounds: u64,
-    replicated_chain_events: u64,
     lane_generated_arrivals: Vec<u64>,
-    /// Whether stimulus used keyed RNG streams, so the kernel profile's
-    /// event counts are worker-count-invariant (see [`Self::digest`]).
-    keyed_stimulus: bool,
     workload_label: &'static str,
     notifier_label: &'static str,
     queues: u32,
@@ -201,9 +186,7 @@ impl ExperimentResult {
             device: None,
             wall_secs: 0.0,
             sync_rounds: 0,
-            replicated_chain_events: 0,
             lane_generated_arrivals: Vec::new(),
-            keyed_stimulus: cfg.rng_stream_mode == RngStreamMode::Keyed,
             workload_label: cfg.workload.name(),
             notifier_label: cfg.notifier.label(),
             queues: cfg.queues,
@@ -308,20 +291,6 @@ impl ExperimentResult {
         self.sync_rounds
     }
 
-    /// Attaches the replicated-chain event count (engine internal).
-    pub(crate) fn with_replicated_chain_events(mut self, events: u64) -> Self {
-        self.replicated_chain_events = events;
-        self
-    }
-
-    /// Foreign stimulus-chain events this run replayed and gated off,
-    /// summed over lanes: the sequential-RNG-mode replication tax. Zero
-    /// for serial runs and for `rng_stream_mode = keyed`, where lanes
-    /// generate only their own groups' stimulus.
-    pub fn replicated_chain_events(&self) -> u64 {
-        self.replicated_chain_events
-    }
-
     /// Attaches the per-lane generation counters (engine internal).
     pub(crate) fn with_lane_generated(mut self, counts: Vec<u64>) -> Self {
         self.lane_generated_arrivals = counts;
@@ -329,10 +298,8 @@ impl ExperimentResult {
     }
 
     /// Arrivals each lane *generated* (delivered into its own groups'
-    /// queues), in lane order; a serial run reports one entry. Unlike the
-    /// kernel profile's arrival-event count, this never includes foreign
-    /// chain events replayed under `rng_stream_mode = sequential`, so the
-    /// per-lane sum equals the serial count in both modes.
+    /// queues), in lane order; a serial run reports one entry. The
+    /// per-lane sum equals the serial count.
     pub fn lane_generated_arrivals(&self) -> &[u64] {
         &self.lane_generated_arrivals
     }
@@ -461,7 +428,6 @@ impl ExperimentResult {
         w.field_f64("wall_secs", self.wall_secs);
         w.field_f64("events_per_sec", self.events_per_sec_wall());
         w.field_u64("sync_rounds", self.sync_rounds);
-        w.field_u64("replicated_chain_events", self.replicated_chain_events);
         w.key("lane_generated_arrivals");
         w.begin_array();
         for &n in &self.lane_generated_arrivals {
@@ -520,9 +486,7 @@ impl ExperimentResult {
     /// telemetry, the kernel profile's total and per-type event counts,
     /// the device counters, and each queue's latency count and mean.
     /// Left out: the profile's attributed cycles and the fast-path
-    /// counters (each lane accounts its own clock and caches), and — under
-    /// sequential RNG streams, where every lane replays the foreign
-    /// stimulus chains — the profile's event counts.
+    /// counters (each lane accounts its own clock and caches).
     pub fn digest(&self) -> Vec<u64> {
         let mut d = vec![
             self.throughput_tps.to_bits(),
@@ -550,7 +514,7 @@ impl ExperimentResult {
                 c.recoveries,
             ]);
         }
-        if let Some(p) = self.profile.as_ref().filter(|_| self.keyed_stimulus) {
+        if let Some(p) = &self.profile {
             d.push(p.total_events());
             d.extend(p.rows().into_iter().map(|(_, count, _)| count));
         }

@@ -84,12 +84,6 @@ pub fn sample_exp(rng: &mut impl Rng, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
-/// Samples a deterministic (constant) "distribution" — provided so service
-/// models can switch between CV=0 and CV=1 uniformly.
-pub fn sample_const(_rng: &mut impl Rng, mean: f64) -> f64 {
-    mean
-}
-
 /// A service/inter-arrival time distribution with a configurable shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Distribution {

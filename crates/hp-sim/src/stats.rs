@@ -266,11 +266,6 @@ impl OnlineStats {
             self.m2 / self.n as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
 }
 
 /// Time-weighted average of a piecewise-constant signal (e.g. queue depth,

@@ -1,7 +1,7 @@
 //! Flow-based traffic generation: Zipf-popular flows steered to queues
 //! through an RSS indirection table, as a real NIC does.
 //!
-//! The shape-based generator ([`crate::generator::TrafficGenerator`])
+//! The shape-based generator ([`crate::generator::KeyedArrivals`])
 //! assigns each packet to a queue directly from a weight vector. Real
 //! traffic is *flow*-structured: packets belong to flows, flow popularity
 //! is heavy-tailed (Zipf), and the NIC maps a flow's Toeplitz hash through
@@ -103,7 +103,6 @@ pub struct FlowArrival {
 /// ```
 #[derive(Debug)]
 pub struct FlowTrafficGenerator {
-    flows: Vec<FlowKey>,
     queue_of_flow: Vec<QueueId>,
     popularity: AliasTable,
     zipf_s: f64,
@@ -131,18 +130,17 @@ impl FlowTrafficGenerator {
         assert!(s > 0.0, "zipf exponent must be positive");
         assert!(rate_per_sec > 0.0, "rate must be positive");
         let reta = RssIndirection::balanced(RssIndirection::DEFAULT_ENTRIES, queues);
-        let keys: Vec<FlowKey> = (0..flows)
-            .map(|i| FlowKey {
-                src_ip: [10, (i >> 8) as u8, i as u8, 1],
-                dst_ip: [192, 168, 0, 1],
-                src_port: 1024 + (i % 50_000) as u16,
-                dst_port: 443,
-                protocol: 6,
+        let queue_of_flow: Vec<QueueId> = (0..flows)
+            .map(|i| {
+                let key = FlowKey {
+                    src_ip: [10, (i >> 8) as u8, i as u8, 1],
+                    dst_ip: [192, 168, 0, 1],
+                    src_port: 1024 + (i % 50_000) as u16,
+                    dst_port: 443,
+                    protocol: 6,
+                };
+                reta.queue_for(key.hash(&DEFAULT_RSS_KEY))
             })
-            .collect();
-        let queue_of_flow: Vec<QueueId> = keys
-            .iter()
-            .map(|k| reta.queue_for(k.hash(&DEFAULT_RSS_KEY)))
             .collect();
         // Zipf weights: 1 / rank^s.
         let weights: Vec<f64> = (1..=flows as usize)
@@ -150,7 +148,6 @@ impl FlowTrafficGenerator {
             .collect();
         let popularity = AliasTable::new(&weights).expect("positive weights");
         FlowTrafficGenerator {
-            flows: keys,
             queue_of_flow,
             popularity,
             zipf_s: s,
@@ -172,34 +169,12 @@ impl FlowTrafficGenerator {
         }
     }
 
-    /// Draws `n` consecutive arrivals, appending `(gap, queue)` pairs to
-    /// `out` — the exact sequence `n` [`Self::next_arrival`] calls would
-    /// produce. Mirrors [`crate::generator::TrafficGenerator::fill_arrivals`];
-    /// the flow id is deliberately dropped (the engine routes on queue).
-    pub fn fill_arrivals(
-        &mut self,
-        out: &mut std::collections::VecDeque<(Cycles, QueueId)>,
-        n: usize,
-    ) {
-        for _ in 0..n {
-            let a = self.next_arrival();
-            out.push_back((a.gap, a.queue));
-        }
-    }
-
-    /// The 5-tuple of flow `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn flow_key(&self, i: u32) -> FlowKey {
-        self.flows[i as usize]
-    }
-
     /// The per-queue arrival probability implied by the flow→queue mapping
-    /// and the popularity distribution (for analysis/tests).
+    /// and the popularity distribution. The simulation engine routes only
+    /// on queue, so it drives flow traffic as a keyed Poisson stream with
+    /// these queue weights ([`crate::generator::KeyedArrivals::from_weights`]).
     pub fn queue_load_shares(&self, queues: u32) -> Vec<f64> {
-        let s_total: f64 = (1..=self.flows.len())
+        let s_total: f64 = (1..=self.queue_of_flow.len())
             .map(|r| 1.0 / (r as f64).powf(self.zipf_s))
             .sum();
         let mut shares = vec![0.0; queues as usize];

@@ -82,11 +82,6 @@ impl PqRaid {
         })
     }
 
-    /// Number of data blocks.
-    pub fn data_blocks(&self) -> usize {
-        self.n
-    }
-
     fn check<S: AsRef<[u8]>>(&self, data: &[S]) -> Result<usize, RaidError> {
         if data.len() != self.n {
             return Err(RaidError::BadGeometry(data.len()));

@@ -111,16 +111,6 @@ impl ReedSolomon {
         })
     }
 
-    /// Data shard count `k`.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Parity shard count `m`.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     fn check_lengths<'a>(&self, shards: impl Iterator<Item = &'a [u8]>) -> Result<usize, RsError> {
         let mut len = None;
         for s in shards {
